@@ -1,8 +1,11 @@
 #include "fig7_common.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <system_error>
 
@@ -10,6 +13,7 @@
 #include "analysis/splitting.hpp"
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/registry.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
@@ -72,6 +76,116 @@ net::SweepConfig sweep_config_from(const Fig7Options& o) {
   return sweep;
 }
 
+analysis::ProtocolModelConfig panel_model(const Fig7Options& o) {
+  analysis::ProtocolModelConfig model;
+  model.offered_load = o.offered_load;
+  model.message_length = o.message_length;
+  return model;
+}
+
+/// The three analytic series of a panel; the suite runs each as a shard.
+enum class AnalyticSeries { Controlled, Fcfs, Lcfs };
+constexpr AnalyticSeries kAnalyticSeries[] = {
+    AnalyticSeries::Controlled, AnalyticSeries::Fcfs, AnalyticSeries::Lcfs};
+
+struct AnalyticCounters {
+  obs::Counter k_points;
+  obs::Counter fixpoint_iters;
+};
+
+AnalyticCounters& analytic_counters() {
+  static AnalyticCounters counters{
+      obs::Registry::global().counter("analysis.k_points"),
+      obs::Registry::global().counter("analysis.fixpoint_iters"),
+  };
+  return counters;
+}
+
+/// Compute one series into its member of `out`; the three series write
+/// disjoint members, so they may run concurrently.
+void compute_series(AnalyticSeries series, const Fig7Options& o,
+                    const std::vector<double>& grid, Fig7PanelAnalytic& out) {
+  const analysis::ProtocolModelConfig model = panel_model(o);
+  switch (series) {
+    case AnalyticSeries::Controlled: {
+      out.controlled = analysis::controlled_loss_curve(model, grid);
+      std::uint64_t iterations = 0;
+      for (const auto& point : out.controlled) iterations += point.iterations;
+      analytic_counters().k_points.add(out.controlled.size());
+      analytic_counters().fixpoint_iters.add(iterations);
+      return;
+    }
+    case AnalyticSeries::Fcfs:
+      out.fcfs = analysis::fcfs_nodiscard_loss_curve(model, grid);
+      return;
+    case AnalyticSeries::Lcfs:
+      out.lcfs = analysis::lcfs_nodiscard_loss_curve(model, grid);
+      return;
+  }
+}
+
+/// All three series of one panel, inline (the standalone path).
+Fig7PanelAnalytic compute_fig7_analytic(const Fig7Options& opts,
+                                        const std::vector<double>& grid) {
+  Fig7PanelAnalytic out;
+  for (const AnalyticSeries series : kAnalyticSeries) {
+    compute_series(series, opts, grid, out);
+  }
+  return out;
+}
+
+/// Rough relative cost of one analytic series at paper resolution, used
+/// only to order the suite's analytic shards longest first. The LCFS
+/// busy-period table grows as Kmax^2; the controlled curve's renewal
+/// series cost about rho' times as much; the FCFS renewal pair is cheap.
+double series_cost(AnalyticSeries series, const Fig7Options& o) {
+  double k_max = 0.0;
+  for (const double r : o.k_over_m) {
+    k_max = std::max(k_max, r * o.message_length);
+  }
+  const double table = k_max * k_max;
+  switch (series) {
+    case AnalyticSeries::Controlled:
+      return o.offered_load * table;
+    case AnalyticSeries::Fcfs:
+      return 0.01 * table;
+    case AnalyticSeries::Lcfs:
+      return table;
+  }
+  return 0.0;
+}
+
+/// The suite's "fig7/analytic" sweep: one shard per (panel, series),
+/// longest first, each writing its series into `out[panel]`. `opts` and
+/// `out` must outlive the scheduler run.
+std::vector<std::function<void()>> analytic_shards(
+    const std::vector<Fig7Options>& opts, std::vector<Fig7PanelAnalytic>& out) {
+  struct Shard {
+    double cost;
+    std::size_t panel;
+    AnalyticSeries series;
+  };
+  std::vector<Shard> order;
+  for (std::size_t i = 0; i < opts.size(); ++i) {
+    for (const AnalyticSeries series : kAnalyticSeries) {
+      order.push_back({series_cost(series, opts[i]), i, series});
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Shard& a, const Shard& b) {
+                     return a.cost > b.cost;
+                   });
+  std::vector<std::function<void()>> shards;
+  shards.reserve(order.size());
+  for (const Shard& shard : order) {
+    shards.push_back([&o = opts[shard.panel], &slot = out[shard.panel],
+                      series = shard.series] {
+      compute_series(series, o, panel_grid(o), slot);
+    });
+  }
+  return shards;
+}
+
 }  // namespace
 
 Fig7PanelJob::Fig7PanelJob(std::vector<double> grid,
@@ -122,35 +236,27 @@ Fig7PanelJob schedule_fig7_panel(exec::SweepScheduler& scheduler,
 
 int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
                       const Fig7PanelSim& sim,
+                      const Fig7PanelAnalytic& analytic,
                       const net::SweepTiming* engine_timing) {
   std::printf("== %s: controlled window protocol, rho'=%.2f M=%.0f ==\n",
               panel_name.c_str(), o.offered_load, o.message_length);
   std::printf("   (loss vs. time constraint K; K in slots of the channel\n"
               "    propagation delay tau; sim uses true waiting times)\n\n");
 
-  analysis::ProtocolModelConfig model;
-  model.offered_load = o.offered_load;
-  model.message_length = o.message_length;
-
   const std::vector<double>& grid = sim.grid;
-  const auto analytic = analysis::controlled_loss_curve(model, grid);
 
   Table table({"K", "K_over_M", "ctrl_analytic", "ctrl_sim", "ctrl_ci95",
                "fcfs_analytic", "fcfs_sim", "lcfs_analytic", "lcfs_sim", "ctrl_sched_mean",
                "ctrl_utilization"});
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const double fcfs_analytic =
-        analysis::fcfs_nodiscard_loss(model, grid[i]);
-    const double lcfs_analytic =
-        analysis::lcfs_nodiscard_loss(model, grid[i]);
     table.add_row({format_fixed(grid[i], 1),
                    format_fixed(grid[i] / o.message_length, 2),
-                   format_fixed(analytic[i].p_loss, 5),
+                   format_fixed(analytic.controlled[i].p_loss, 5),
                    format_fixed(sim.controlled[i].p_loss, 5),
                    format_fixed(sim.controlled[i].ci95, 5),
-                   format_fixed(fcfs_analytic, 5),
+                   format_fixed(analytic.fcfs[i], 5),
                    format_fixed(sim.fcfs[i].p_loss, 5),
-                   format_fixed(lcfs_analytic, 5),
+                   format_fixed(analytic.lcfs[i], 5),
                    format_fixed(sim.lcfs[i].p_loss, 5),
                    format_fixed(sim.controlled[i].mean_scheduling, 3),
                    format_fixed(sim.controlled[i].utilization, 4)});
@@ -164,7 +270,7 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
   series[2] = {"fcfs (sim)", 'f', {}};
   series[3] = {"lcfs (sim)", 'l', {}};
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    series[0].y.push_back(analytic[i].p_loss);
+    series[0].y.push_back(analytic.controlled[i].p_loss);
     series[1].y.push_back(sim.controlled[i].p_loss);
     series[2].y.push_back(sim.fcfs[i].p_loss);
     series[3].y.push_back(sim.lcfs[i].p_loss);
@@ -186,7 +292,8 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
       ++ctrl_beats_lcfs;
     }
     worst_gap = std::max(
-        worst_gap, std::abs(sim.controlled[i].p_loss - analytic[i].p_loss));
+        worst_gap,
+        std::abs(sim.controlled[i].p_loss - analytic.controlled[i].p_loss));
   }
   std::printf("\nshape: controlled <= FCFS at %d/%zu points, "
               "controlled <= LCFS at %d/%zu points\n",
@@ -251,7 +358,8 @@ int run_fig7_panel(const std::string& panel_name, const Fig7Options& opts) {
   sim.fcfs = run_variant("fcfs", net::ProtocolVariant::FcfsNoDiscard);
   sim.lcfs = run_variant("lcfs", net::ProtocolVariant::LcfsNoDiscard);
 
-  int rc = render_fig7_panel(panel_name, o, sim, &total);
+  int rc = render_fig7_panel(panel_name, o, sim,
+                             compute_fig7_analytic(o, sim.grid), &total);
   rc |= obs.finish(nullptr);
   return rc;
 }
@@ -335,16 +443,25 @@ int run_fig7_suite(const Fig7SuiteOptions& suite) {
               panels.size(), pool.size());
 
   std::vector<Fig7Options> panel_opts;
-  std::vector<Fig7PanelJob> jobs;
   panel_opts.reserve(panels.size());
-  jobs.reserve(panels.size());
   for (const Fig7PanelSpec& p : panels) {
     Fig7Options o = base;
     o.offered_load = p.offered_load;
     o.message_length = p.message_length;
     o.csv = suite.csv_dir + "/" + p.name + ".csv";
-    jobs.push_back(schedule_fig7_panel(scheduler, p.name, o, &obs));
     panel_opts.push_back(std::move(o));
+  }
+
+  // The analytic sweep is registered first, so one runner starts on its
+  // longest shards at once while the others start on the simulations;
+  // every runner joins it once the simulation shards are claimed.
+  std::vector<Fig7PanelAnalytic> analytic(panels.size());
+  scheduler.add_sweep("fig7/analytic", analytic_shards(panel_opts, analytic));
+  std::vector<Fig7PanelJob> jobs;
+  jobs.reserve(panels.size());
+  for (std::size_t i = 0; i < panels.size(); ++i) {
+    jobs.push_back(
+        schedule_fig7_panel(scheduler, panels[i].name, panel_opts[i], &obs));
   }
 
   const exec::SchedulerReport report = scheduler.run();
@@ -356,15 +473,17 @@ int run_fig7_suite(const Fig7SuiteOptions& suite) {
   int rc = 0;
   for (std::size_t i = 0; i < panels.size(); ++i) {
     rc |= render_fig7_panel(panels[i].name, panel_opts[i], sims[i],
-                            /*engine_timing=*/nullptr);
+                            analytic[i], /*engine_timing=*/nullptr);
   }
 
   print_scheduler_report(report, "fig7_all");
 
   if (suite.baseline) {
-    // The pre-scheduler execution model: every sweep on its own transient
-    // pool, panels strictly one after another. Cross-check bit-equality
-    // and report both wall clocks.
+    // The pre-scheduler execution model: every simulation sweep on its own
+    // transient pool, panels strictly one after another. Cross-check
+    // bit-equality and report both wall clocks. The analytic series are
+    // not re-run, so the speedup compares the sequential simulations with
+    // the whole scheduled run, analytic shards included.
     const auto t0 = std::chrono::steady_clock::now();
     bool identical = true;
     for (std::size_t i = 0; i < panels.size(); ++i) {
@@ -392,8 +511,9 @@ int run_fig7_suite(const Fig7SuiteOptions& suite) {
     const double speedup = report.wall_seconds > 0.0
                                ? sequential_wall / report.wall_seconds
                                : 0.0;
-    std::printf("baseline (sequential, per-sweep pools): wall=%.3fs, "
-                "scheduled wall=%.3fs, speedup=%.2fx, outputs identical: "
+    std::printf("baseline (simulations only, sequential, per-sweep pools): "
+                "wall=%.3fs, scheduled wall (simulations + analytic)=%.3fs, "
+                "speedup=%.2fx, outputs identical: "
                 "%s\n",
                 sequential_wall, report.wall_seconds, speedup,
                 identical ? "yes" : "NO");

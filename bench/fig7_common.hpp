@@ -6,15 +6,18 @@
 //
 // Two execution paths produce bit-identical panels: run_fig7_panel runs
 // one panel standalone (a transient pool per sweep, the historical
-// behaviour of the per-panel binaries), while schedule_fig7_panel
-// registers the panel's three variant sweeps on an externally owned
-// exec::SweepScheduler so a whole suite (fig7_all, `sweep_tool --suite`)
-// runs as one job graph over a single shared pool.
+// behaviour of the per-panel binaries, with the analytic series computed
+// inline), while schedule_fig7_panel registers the panel's three variant
+// sweeps on an externally owned exec::SweepScheduler so a whole suite
+// (fig7_all, `sweep_tool --suite`) runs as one job graph over a single
+// shared pool. run_fig7_suite also puts the analytic series on that pool,
+// as the shards of one "fig7/analytic" sweep.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "analysis/loss_model.hpp"
 #include "net/experiment.hpp"
 #include "obs_support.hpp"
 #include "util/flags.hpp"
@@ -58,8 +61,7 @@ struct Fig7PanelSpec {
 /// The six canonical panels, in the paper's order.
 const std::vector<Fig7PanelSpec>& fig7_panels();
 
-/// The three simulated series of one panel (the analytic curves are
-/// recomputed at rendering time; they are cheap and deterministic).
+/// The three simulated series of one panel.
 struct Fig7PanelSim {
   std::vector<double> grid;  // K values, ascending
   std::vector<net::SweepPoint> controlled;
@@ -96,6 +98,17 @@ Fig7PanelJob schedule_fig7_panel(exec::SweepScheduler& scheduler,
                                  const Fig7Options& opts,
                                  ObsSession* obs = nullptr);
 
+/// The analytic series of one panel, one entry per grid K: the
+/// controlled protocol (eq. 4.7 + the iteration in K) and the FCFS/LCFS
+/// no-discard baselines. They depend on (rho', M, grid) only. Computing
+/// the controlled series adds its K-points and fixpoint iterations to the
+/// registry counters `analysis.k_points` and `analysis.fixpoint_iters`.
+struct Fig7PanelAnalytic {
+  std::vector<analysis::ControlledLossPoint> controlled;
+  std::vector<double> fcfs;
+  std::vector<double> lcfs;
+};
+
 /// Print one panel's table, plot and shape checks, and write its CSV.
 /// `engine_timing`, when non-null, is echoed as the panel's own
 /// `sweep engine:` + BENCH_JSON lines (standalone runs); suite runs pass
@@ -103,6 +116,7 @@ Fig7PanelJob schedule_fig7_panel(exec::SweepScheduler& scheduler,
 /// exit code. Pass quick-resolved options (the ones the sweeps ran with).
 int render_fig7_panel(const std::string& panel_name, const Fig7Options& opts,
                       const Fig7PanelSim& sim,
+                      const Fig7PanelAnalytic& analytic,
                       const net::SweepTiming* engine_timing);
 
 /// Run one panel standalone; returns the process exit code.
@@ -123,8 +137,10 @@ struct Fig7SuiteOptions {
   bool baseline = true;
 };
 
-/// Run the suite as one scheduled job graph; returns the process exit
-/// code (nonzero also when the baseline cross-check finds a mismatch).
+/// Run the suite as one scheduled job graph: the simulation sweeps of
+/// every panel plus the "fig7/analytic" sweep (one shard per panel and
+/// analytic series, longest first). Returns the process exit code
+/// (nonzero also when the baseline cross-check finds a mismatch).
 int run_fig7_suite(const Fig7SuiteOptions& suite);
 
 /// Run a populated scheduler and print the consolidated per-sweep timing

@@ -21,6 +21,10 @@ std::size_t transmission_slots(const ProtocolModelConfig& cfg) {
   return slots;
 }
 
+void expect_nonnegative(const std::vector<double>& ks) {
+  for (const double K : ks) TCW_EXPECTS(K >= 0.0);
+}
+
 }  // namespace
 
 double effective_window_load(double accepted_fraction) {
@@ -96,22 +100,50 @@ std::vector<ControlledLossPoint> controlled_loss_curve(
   return out;
 }
 
-double lcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
-  TCW_EXPECTS(K >= 0.0);
-  const dist::Pmf service = service_distribution(cfg, optimal_window_load());
-  const double rho = offered_intensity(service, cfg.lambda());
-  if (rho >= 1.0) return 1.0;
-  return 1.0 - lcfs_waiting_cdf(service, cfg.lambda(), K);
-}
-
-double fcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
-  TCW_EXPECTS(K >= 0.0);
+std::vector<double> fcfs_nodiscard_loss_curve(const ProtocolModelConfig& cfg,
+                                              const std::vector<double>& ks) {
+  expect_nonnegative(ks);
+  if (ks.empty()) return {};
   // No discard: all messages are scheduled, so the windows carry the full
   // optimal load nu*.
   const dist::Pmf service = service_distribution(cfg, optimal_window_load());
   const double rho = offered_intensity(service, cfg.lambda());
-  if (rho >= 1.0) return 1.0;
-  return 1.0 - mg1_waiting_cdf(service, cfg.lambda(), K, cfg.refine);
+  if (rho >= 1.0) return std::vector<double>(ks.size(), 1.0);
+  std::vector<double> out =
+      mg1_waiting_cdf_curve(service, cfg.lambda(), ks, cfg.refine);
+  for (double& v : out) v = 1.0 - v;
+  return out;
+}
+
+std::vector<double> lcfs_nodiscard_loss_curve(const ProtocolModelConfig& cfg,
+                                              const std::vector<double>& ks) {
+  expect_nonnegative(ks);
+  if (ks.empty()) return {};
+  const dist::Pmf service = service_distribution(cfg, optimal_window_load());
+  const double rho = offered_intensity(service, cfg.lambda());
+  if (rho >= 1.0) return std::vector<double>(ks.size(), 1.0);
+  // P(W <= K) only needs the busy-period table up to K, and entry n of
+  // that table does not depend on its length: one table at the largest K
+  // serves the whole grid.
+  std::size_t k_max = 0;
+  for (const double K : ks) {
+    k_max = std::max(k_max, static_cast<std::size_t>(std::floor(K)));
+  }
+  const dist::Pmf w =
+      lcfs_waiting_distribution(service, cfg.lambda(), k_max + 2);
+  std::vector<double> out(ks.size());
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    out[i] = 1.0 - w.cdf(static_cast<std::size_t>(std::floor(ks[i])));
+  }
+  return out;
+}
+
+double fcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
+  return fcfs_nodiscard_loss_curve(cfg, {K}).front();
+}
+
+double lcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K) {
+  return lcfs_nodiscard_loss_curve(cfg, {K}).front();
 }
 
 }  // namespace tcw::analysis

@@ -68,12 +68,20 @@ std::vector<ControlledLossPoint> controlled_loss_curve(
 /// transmitted; a message is lost at the receiver when its waiting time
 /// exceeds K, so p_loss = P(W > K) by the Benes series. Returns 1.0 when
 /// the queue is unstable (rho >= 1) and the long-run loss is total.
-double fcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K);
+std::vector<double> fcfs_nodiscard_loss_curve(const ProtocolModelConfig& cfg,
+                                              const std::vector<double>& ks);
 
 /// LCFS baseline without sender discard: p_loss = P(W_LCFS > K) via the
 /// lattice busy-period computation (busy_period.hpp). Returns 1.0 when
 /// the queue is unstable. (An extension beyond the paper, which quoted
 /// [Kurose 83]'s approximate LCFS curves.)
+std::vector<double> lcfs_nodiscard_loss_curve(const ProtocolModelConfig& cfg,
+                                              const std::vector<double>& ks);
+
+// The baseline curves take K in any order (duplicates allowed) and build
+// one table at the largest K, whose prefix serves every smaller K bit for
+// bit. The per-K forms below are the one-point curves.
+double fcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K);
 double lcfs_nodiscard_loss(const ProtocolModelConfig& cfg, double K);
 
 /// The effective window load: nu* scaled by the accepted fraction.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/contract.hpp"
 
@@ -78,43 +79,114 @@ struct ZBracket {
   double upper = 0.0;
 };
 
-/// z(K, rho) bracketed by the left/right sub-cell mass placements.
-ZBracket z_bracket(const dist::Pmf& service, double lambda, double K,
-                   unsigned refine) {
+/// The renewal functions of the left and right sub-cell placements of
+/// `beta` (see z_brackets), both on `len` points. Equal bit for bit to
+/// renewal_function(beta, rho, len) and to renewal_function of beta shifted
+/// one sub-cell right: one pass, two independent accumulators, each summed
+/// in renewal_function's j-ascending order.
+struct RenewalPair {
+  std::vector<double> left;
+  std::vector<double> right;
+};
+
+RenewalPair renewal_pair(const std::vector<double>& beta, double rho,
+                         std::size_t len) {
+  TCW_EXPECTS(!beta.empty());
+  TCW_EXPECTS(rho >= 0.0);
+  const std::size_t nb = beta.size();
+  // The right placement has no mass at 0, so its denominator is exactly 1.
+  const double denom_left = 1.0 - rho * beta[0];
+  TCW_EXPECTS(denom_left > 0.0);
+  RenewalPair out{std::vector<double>(len, 0.0), std::vector<double>(len, 0.0)};
+  double* u_left = out.left.data();
+  double* u_right = out.right.data();
+  u_left[0] = 1.0 / denom_left;
+  u_right[0] = 1.0;
+  for (std::size_t k = 1; k < len; ++k) {
+    double acc_left = 0.0;
+    double acc_right = 0.0;
+    // Left: j = 1..min(k, nb-1) over beta[j]; right: j = 1..min(k, nb)
+    // over beta[j-1]. The shared range runs fused; the right placement's
+    // one extra term (j = nb, reached once k >= nb) follows it.
+    const std::size_t j_both = std::min(k, nb - 1);
+    for (std::size_t j = 1; j <= j_both; ++j) {
+      acc_left += beta[j] * u_left[k - j];
+      acc_right += beta[j - 1] * u_right[k - j];
+    }
+    if (k >= nb) acc_right += beta[nb - 1] * u_right[k - nb];
+    u_left[k] = rho * acc_left / denom_left;
+    u_right[k] = rho * acc_right;
+  }
+  return out;
+}
+
+/// z(K, rho) at every K of `ks`, bracketed by the left/right sub-cell mass
+/// placements. One renewal pair at the largest lattice index serves every
+/// K: u[k] does not depend on the table length, and the running prefix sum
+/// adds the same terms in the same order as a fresh sum per K would.
+std::vector<ZBracket> z_brackets(const dist::Pmf& service, double lambda,
+                                 const std::vector<double>& ks,
+                                 unsigned refine) {
   const double rho = offered_intensity(service, lambda);
-  if (K <= 0.0) return ZBracket{1.0, 1.0};  // only the i = 0 term survives
+  // K <= 0: only the i = 0 term survives.
+  std::vector<ZBracket> out(ks.size(), ZBracket{1.0, 1.0});
+  std::vector<std::size_t> k_sub(ks.size(), 0);
+  bool any_positive = false;
+  std::size_t k_sub_max = 0;
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    if (ks[i] <= 0.0) continue;
+    k_sub[i] = static_cast<std::size_t>(
+        std::floor(ks[i] * static_cast<double>(refine) + 1e-9));
+    k_sub_max = std::max(k_sub_max, k_sub[i]);
+    any_positive = true;
+  }
+  if (!any_positive) return out;
 
   const auto beta = refined_equilibrium(service, refine);
   if (beta.empty()) {
     // Service is the constant 0 (excluded upstream by mean() > 0 checks);
     // degenerate but well defined: no waiting ever.
-    return ZBracket{1.0, 1.0};
+    return out;
   }
-  const auto k_sub = static_cast<std::size_t>(
-      std::floor(K * static_cast<double>(refine) + 1e-9));
-  const std::size_t len = k_sub + 1;
 
   // Left placement: sub-cell mass at its left endpoint makes the i-fold
   // sums stochastically smaller, so its CDF -- and hence z -- is an upper
   // bound. Shifting the mass one sub-cell right gives the lower bound.
-  const auto u_left = renewal_function(beta, rho, len);
-  std::vector<double> beta_right(beta.size() + 1, 0.0);
-  std::copy(beta.begin(), beta.end(), beta_right.begin() + 1);
-  const auto u_right = renewal_function(beta_right, rho, len);
+  RenewalPair z = renewal_pair(beta, rho, k_sub_max + 1);
+  std::partial_sum(z.left.begin(), z.left.end(), z.left.begin());
+  std::partial_sum(z.right.begin(), z.right.end(), z.right.begin());
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    if (ks[i] > 0.0) out[i] = ZBracket{z.right[k_sub[i]], z.left[k_sub[i]]};
+  }
+  return out;
+}
 
-  return ZBracket{sum_prefix(u_right, k_sub), sum_prefix(u_left, k_sub)};
+ZBracket z_bracket(const dist::Pmf& service, double lambda, double K,
+                   unsigned refine) {
+  return z_brackets(service, lambda, {K}, refine).front();
 }
 
 double loss_from_z(double rho, double z) { return 1.0 - z / (1.0 + rho * z); }
 
 }  // namespace
 
-double mg1_waiting_cdf(const dist::Pmf& service, double lambda, double K,
-                       unsigned refine) {
+std::vector<double> mg1_waiting_cdf_curve(const dist::Pmf& service,
+                                          double lambda,
+                                          const std::vector<double>& ks,
+                                          unsigned refine) {
   const double rho = offered_intensity(service, lambda);
   TCW_EXPECTS(rho < 1.0);
-  const ZBracket z = z_bracket(service, lambda, K, refine);
-  return (1.0 - rho) * 0.5 * (z.lower + z.upper);
+  const std::vector<ZBracket> z = z_brackets(service, lambda, ks, refine);
+  std::vector<double> out(z.size());
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    out[i] = (1.0 - rho) * 0.5 * (z[i].lower + z[i].upper);
+  }
+  return out;
+}
+
+double mg1_waiting_cdf(const dist::Pmf& service, double lambda, double K,
+                       unsigned refine) {
+  return mg1_waiting_cdf_curve(service, lambda, {K}, refine).front();
 }
 
 dist::Pmf mg1_waiting_distribution(const dist::Pmf& service, double lambda,

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "dist/pmf.hpp"
 
@@ -47,6 +48,14 @@ std::vector<double> renewal_function(const std::vector<double>& beta,
 /// Requires rho < 1. `refine` is the sub-slot lattice factor.
 double mg1_waiting_cdf(const dist::Pmf& service, double lambda, double K,
                        unsigned refine = 4);
+
+/// mg1_waiting_cdf at every K of `ks` (any order, duplicates allowed) from
+/// one renewal series at the largest K; each value is bit-identical to the
+/// per-K call. Requires rho < 1.
+std::vector<double> mg1_waiting_cdf_curve(const dist::Pmf& service,
+                                          double lambda,
+                                          const std::vector<double>& ks,
+                                          unsigned refine = 4);
 
 /// Full FCFS waiting-time distribution of the plain M/G/1 queue on the
 /// slot lattice (len points), via the Benes series (1-rho) * U downsampled

@@ -1,16 +1,30 @@
 // End-to-end test of the Figure-7 reproduction pipeline itself (the bench
 // driver library): a quick panel must run, satisfy the paper's dominance
-// shape, and emit a well-formed CSV.
+// shape, and emit a well-formed CSV; the whole suite, analytic shards
+// included, must write the same bytes at any thread count and reproduce
+// the committed analytic columns.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "fig7_common.hpp"
+#include "obs/registry.hpp"
 #include "util/strings.hpp"
 
 namespace {
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
 
 TEST(Fig7Pipeline, QuickPanelRunsAndWritesCsv) {
   tcw::bench::Fig7Options opts;
@@ -69,13 +83,6 @@ TEST(Fig7Pipeline, SuiteCsvIsByteIdenticalToStandalonePanel) {
   suite.baseline = false;  // the binary's own cross-check; slow here
   ASSERT_EQ(tcw::bench::run_fig7_suite(suite), 0);
 
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  };
   const std::string standalone_csv = slurp(standalone_opts.csv);
   const std::string suite_csv =
       slurp(::testing::TempDir() + "/fig7_rho50_m25.csv");
@@ -92,6 +99,89 @@ TEST(Fig7Pipeline, FlagRegistrationRoundTrip) {
   EXPECT_DOUBLE_EQ(opts.offered_load, 0.75);
   EXPECT_DOUBLE_EQ(opts.message_length, 100.0);
   EXPECT_TRUE(opts.quick);
+}
+
+/// The named columns of a CSV, one joined line per row (header included).
+std::vector<std::string> csv_columns(const std::string& csv,
+                                     const std::vector<std::string>& names) {
+  std::istringstream in(csv);
+  std::string line;
+  std::getline(in, line);
+  const auto header = tcw::split(line, ',');
+  std::vector<std::size_t> index;
+  for (const std::string& name : names) {
+    std::size_t i = 0;
+    while (i < header.size() && header[i] != name) ++i;
+    EXPECT_LT(i, header.size()) << name;
+    index.push_back(i);
+  }
+  std::vector<std::string> rows;
+  in.seekg(0);
+  while (std::getline(in, line)) {
+    const auto cells = tcw::split(line, ',');
+    std::string row;
+    for (const std::size_t i : index) {
+      row += (i < cells.size() ? cells[i] : std::string("<missing>")) + ",";
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+struct AnalyticCounts {
+  std::uint64_t k_points = 0;
+  std::uint64_t fixpoint_iters = 0;
+};
+
+AnalyticCounts analytic_counts() {
+  auto& registry = tcw::obs::Registry::global();
+  return {registry.counter("analysis.k_points").value(),
+          registry.counter("analysis.fixpoint_iters").value()};
+}
+
+TEST(Fig7Pipeline, SuiteIsThreadInvariantAndMatchesCommittedAnalytics) {
+  // The quick suite at 1 and 4 threads: the analytic shards run on the
+  // scheduler beside the simulations, yet every CSV is byte-identical,
+  // the analytic counters agree exactly, and the analytic columns equal
+  // the committed paper-resolution results (they depend on no seed or
+  // run length).
+  std::vector<std::string> dirs;
+  std::vector<AnalyticCounts> counts;
+  for (const long long threads : {1LL, 4LL}) {
+    tcw::bench::Fig7SuiteOptions suite;
+    suite.base.quick = true;
+    suite.base.threads = threads;
+    suite.csv_dir =
+        ::testing::TempDir() + "/tcw_fig7_suite_t" + std::to_string(threads);
+    suite.baseline = false;
+    const AnalyticCounts before = analytic_counts();
+    ASSERT_EQ(tcw::bench::run_fig7_suite(suite), 0);
+    const AnalyticCounts after = analytic_counts();
+    counts.push_back({after.k_points - before.k_points,
+                      after.fixpoint_iters - before.fixpoint_iters});
+    dirs.push_back(suite.csv_dir);
+  }
+  const std::size_t panels = tcw::bench::fig7_panels().size();
+  const std::size_t grid = tcw::bench::Fig7Options{}.k_over_m.size();
+  EXPECT_EQ(counts[0].k_points, panels * grid);
+  EXPECT_EQ(counts[1].k_points, counts[0].k_points);
+  EXPECT_GT(counts[0].fixpoint_iters, counts[0].k_points);
+  EXPECT_EQ(counts[1].fixpoint_iters, counts[0].fixpoint_iters);
+
+  const std::vector<std::string> analytic_columns = {
+      "K", "K_over_M", "ctrl_analytic", "fcfs_analytic", "lcfs_analytic"};
+  for (const auto& panel : tcw::bench::fig7_panels()) {
+    const std::string name = panel.name + ".csv";
+    const std::string one = slurp(dirs[0] + "/" + name);
+    ASSERT_FALSE(one.empty()) << name;
+    EXPECT_EQ(one, slurp(dirs[1] + "/" + name)) << name;
+    const std::string committed =
+        slurp(std::string(TCW_RESULTS_DIR) + "/" + name);
+    ASSERT_FALSE(committed.empty()) << name;
+    EXPECT_EQ(csv_columns(one, analytic_columns),
+              csv_columns(committed, analytic_columns))
+        << name;
+  }
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
+#include <vector>
 
+#include "analysis/busy_period.hpp"
 #include "analysis/mg1.hpp"
 #include "analysis/splitting.hpp"
 #include "util/contract.hpp"
@@ -180,5 +184,96 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(0.50, 25.0), std::make_tuple(0.50, 100.0),
                       std::make_tuple(0.75, 25.0),
                       std::make_tuple(0.75, 100.0)));
+
+// The baseline curves build one table at the largest K and read every K
+// off its prefix; each value must equal the per-K computation bit for bit.
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+std::vector<double> per_k(double (*loss)(const analysis::ProtocolModelConfig&,
+                                         double),
+                          const analysis::ProtocolModelConfig& cfg,
+                          const std::vector<double>& ks) {
+  std::vector<double> out;
+  for (const double k : ks) out.push_back(loss(cfg, k));
+  return out;
+}
+
+/// LCFS loss through lcfs_waiting_cdf, which sizes its own busy-period
+/// table to K + 2: the independent per-K path the curve replaced.
+std::vector<double> lcfs_via_waiting_cdf(
+    const analysis::ProtocolModelConfig& cfg, const std::vector<double>& ks) {
+  const auto service = analysis::service_distribution(
+      cfg, analysis::optimal_window_load());
+  const bool stable =
+      analysis::offered_intensity(service, cfg.lambda()) < 1.0;
+  std::vector<double> out;
+  for (const double k : ks) {
+    out.push_back(stable ? 1.0 - analysis::lcfs_waiting_cdf(
+                                     service, cfg.lambda(), k)
+                         : 1.0);
+  }
+  return out;
+}
+
+void expect_curves_match_per_k(const analysis::ProtocolModelConfig& cfg,
+                               const std::vector<double>& ks) {
+  const auto fcfs = analysis::fcfs_nodiscard_loss_curve(cfg, ks);
+  const auto lcfs = analysis::lcfs_nodiscard_loss_curve(cfg, ks);
+  EXPECT_TRUE(same_bits(fcfs, per_k(analysis::fcfs_nodiscard_loss, cfg, ks)));
+  EXPECT_TRUE(same_bits(lcfs, per_k(analysis::lcfs_nodiscard_loss, cfg, ks)));
+  EXPECT_TRUE(same_bits(lcfs, lcfs_via_waiting_cdf(cfg, ks)));
+}
+
+class BaselineCurvePanelTest
+    : public ::testing::TestWithParam<std::tuple<double, double>> {};
+
+TEST_P(BaselineCurvePanelTest, CurvesBitMatchPerKOnPaperGrid) {
+  const auto [rho, m] = GetParam();
+  std::vector<double> ks;
+  for (const double r : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0}) {
+    ks.push_back(r * m);
+  }
+  expect_curves_match_per_k(paper_config(rho, m), ks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperPanels, BaselineCurvePanelTest,
+    ::testing::Values(std::make_tuple(0.25, 25.0), std::make_tuple(0.25, 100.0),
+                      std::make_tuple(0.50, 25.0), std::make_tuple(0.50, 100.0),
+                      std::make_tuple(0.75, 25.0),
+                      std::make_tuple(0.75, 100.0)));
+
+TEST(BaselineCurve, ZeroFractionalUnsortedAndDuplicateK) {
+  expect_curves_match_per_k(paper_config(0.5, 25.0),
+                            {100.0, 0.0, 12.5, 50.0, 12.5, 0.0, 200.0, 1.0});
+}
+
+TEST(BaselineCurve, UnstableQueueIsAllOnes) {
+  const auto cfg = paper_config(1.2, 25.0);
+  const std::vector<double> ks = {0.0, 12.5, 500.0};
+  const std::vector<double> ones(ks.size(), 1.0);
+  EXPECT_TRUE(same_bits(analysis::fcfs_nodiscard_loss_curve(cfg, ks), ones));
+  EXPECT_TRUE(same_bits(analysis::lcfs_nodiscard_loss_curve(cfg, ks), ones));
+  expect_curves_match_per_k(cfg, ks);
+}
+
+TEST(BaselineCurve, EmptyGridIsEmpty) {
+  const auto cfg = paper_config(0.5, 25.0);
+  EXPECT_TRUE(analysis::fcfs_nodiscard_loss_curve(cfg, {}).empty());
+  EXPECT_TRUE(analysis::lcfs_nodiscard_loss_curve(cfg, {}).empty());
+}
+
+TEST(BaselineCurve, NegativeKRejected) {
+  const auto cfg = paper_config(0.5, 25.0);
+  EXPECT_THROW(analysis::fcfs_nodiscard_loss_curve(cfg, {10.0, -1.0}),
+               tcw::ContractViolation);
+  EXPECT_THROW(analysis::lcfs_nodiscard_loss_curve(cfg, {10.0, -1.0}),
+               tcw::ContractViolation);
+}
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "dist/families.hpp"
@@ -269,6 +271,117 @@ TEST(ImpatientSimCheck, GeometricServiceAlsoMatches) {
   const auto model = analysis::mg1_impatient_loss(service, lambda, K);
   const double sim = simulate_balking_loss(lambda, service, K, 400000, 7);
   EXPECT_NEAR(model.p_loss, sim, 0.012);
+}
+
+// The fused z-bracket must reproduce, bit for bit, the two-pass form it
+// replaced: renewal_function once for the left sub-cell placement and once
+// for the right one. The reference below is that form, written out here.
+
+/// The equilibrium pmf on a lattice refined `c` times, as mg1.cpp builds it.
+std::vector<double> reference_equilibrium(const dist::Pmf& service,
+                                          unsigned c) {
+  const double mean = service.mean();
+  std::vector<double> beta;
+  double sf = service.total_mass() - service.at(0);
+  for (std::size_t k = 0; k + 1 < service.size(); ++k) {
+    const double cell = std::max(sf, 0.0) / (static_cast<double>(c) * mean);
+    for (unsigned m = 0; m < c; ++m) beta.push_back(cell);
+    sf -= service.at(k + 1);
+  }
+  return beta;
+}
+
+double reference_prefix(const std::vector<double>& u, std::size_t last) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i <= last; ++i) acc += u[i];
+  return acc;
+}
+
+analysis::ImpatientLoss reference_impatient_loss(const dist::Pmf& service,
+                                                 double lambda, double K,
+                                                 unsigned refine) {
+  analysis::ImpatientLoss out;
+  out.rho = analysis::offered_intensity(service, lambda);
+  double z_lower = 1.0;
+  double z_upper = 1.0;
+  if (K > 0.0) {
+    const auto beta = reference_equilibrium(service, refine);
+    const auto k_sub = static_cast<std::size_t>(
+        std::floor(K * static_cast<double>(refine) + 1e-9));
+    const auto u_left = analysis::renewal_function(beta, out.rho, k_sub + 1);
+    std::vector<double> beta_right(beta.size() + 1, 0.0);
+    std::copy(beta.begin(), beta.end(), beta_right.begin() + 1);
+    const auto u_right =
+        analysis::renewal_function(beta_right, out.rho, k_sub + 1);
+    z_lower = reference_prefix(u_right, k_sub);
+    z_upper = reference_prefix(u_left, k_sub);
+  }
+  const auto loss = [&](double z) { return 1.0 - z / (1.0 + out.rho * z); };
+  out.z_lower = z_lower;
+  out.z_upper = z_upper;
+  out.z = 0.5 * (z_lower + z_upper);
+  out.p_loss = loss(out.z);
+  out.loss_lower = loss(z_upper);
+  out.loss_upper = loss(z_lower);
+  out.p_idle = 1.0 / (1.0 + out.rho * out.z);
+  return out;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+class FusedBracketCheck
+    : public ::testing::TestWithParam<std::tuple<double, unsigned>> {};
+
+TEST_P(FusedBracketCheck, ImpatientLossBitMatchesTwoPassReference) {
+  const auto [rho, refine] = GetParam();
+  // A Figure-7-like service (geometric scheduling plus 26 transmission
+  // slots) and a sparse deterministic one.
+  for (const dist::Pmf& service :
+       {dist::geometric0_with_mean(2.5).shifted(26), dist::deterministic(10)}) {
+    const double lambda = rho / service.mean();
+    for (const double K : {0.0, 0.1, 1.0, 12.5, 40.0, 150.0}) {
+      const auto got = analysis::mg1_impatient_loss(service, lambda, K, refine);
+      const auto want = reference_impatient_loss(service, lambda, K, refine);
+      EXPECT_TRUE(same_bits(got.z_lower, want.z_lower)) << K;
+      EXPECT_TRUE(same_bits(got.z_upper, want.z_upper)) << K;
+      EXPECT_TRUE(same_bits(got.z, want.z)) << K;
+      EXPECT_TRUE(same_bits(got.p_loss, want.p_loss)) << K;
+      EXPECT_TRUE(same_bits(got.loss_lower, want.loss_lower)) << K;
+      EXPECT_TRUE(same_bits(got.loss_upper, want.loss_upper)) << K;
+      EXPECT_TRUE(same_bits(got.p_idle, want.p_idle)) << K;
+      EXPECT_TRUE(same_bits(got.rho, want.rho)) << K;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RhoAndRefine, FusedBracketCheck,
+    ::testing::Values(std::make_tuple(0.6, 1u), std::make_tuple(0.6, 4u),
+                      std::make_tuple(1.3, 1u), std::make_tuple(1.3, 4u)));
+
+TEST(WaitingCdfCurve, BitMatchesPerKAndTwoPassReference) {
+  const auto service = dist::geometric0_with_mean(2.5).shifted(26);
+  const double lambda = 0.6 / service.mean();
+  // Unsorted, duplicated, zero and fractional K.
+  const std::vector<double> ks = {40.0, 0.0, 12.5, 150.0, 12.5, 0.1, 1.0};
+  for (const unsigned refine : {1u, 4u}) {
+    const auto curve =
+        analysis::mg1_waiting_cdf_curve(service, lambda, ks, refine);
+    ASSERT_EQ(curve.size(), ks.size());
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      const double per_k =
+          analysis::mg1_waiting_cdf(service, lambda, ks[i], refine);
+      const auto ref =
+          reference_impatient_loss(service, lambda, ks[i], refine);
+      const double want =
+          (1.0 - ref.rho) * 0.5 * (ref.z_lower + ref.z_upper);
+      EXPECT_TRUE(same_bits(curve[i], per_k)) << ks[i];
+      EXPECT_TRUE(same_bits(curve[i], want)) << ks[i];
+    }
+  }
+  EXPECT_TRUE(analysis::mg1_waiting_cdf_curve(service, lambda, {}).empty());
 }
 
 }  // namespace
