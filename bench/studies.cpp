@@ -14,6 +14,7 @@
 
 #include "analysis/splitting.hpp"
 #include "core/policy.hpp"
+#include "exec/sweep_scheduler.hpp"
 #include "net/aggregate_sim.hpp"
 #include "net/channel_plan.hpp"
 #include "net/fluid_sim.hpp"
@@ -371,15 +372,19 @@ class AdaptiveWidthStudy final : public Study {
     std::printf("== adaptive element (2): SMDP width table vs static "
                 "heuristic (lambda=%.3f, M=%.0f) ==\n\n", lambda_, m);
 
-    for (const long long k : {12LL, 16LL, 24LL, 32LL, 48LL}) {
-      // Solve the decision model at this deadline (scheduling-time work:
-      // the sweeps need the width table before they can be enqueued).
-      smdp::WindowSmdpConfig wcfg;
-      wcfg.deadline = static_cast<std::size_t>(k);
-      wcfg.lambda = lambda_;
-      wcfg.tx_slots = static_cast<std::size_t>(tx_);
-      wcfg.mc_samples = static_cast<std::size_t>(samples);
-      const auto solved = smdp::solve_window_model(wcfg);
+    // Solve the decision model at every deadline (scheduling-time work:
+    // the sweeps need the width tables before they can be enqueued). The
+    // pool is idle until scheduler.run(), so the build borrows it.
+    const std::vector<std::size_t> deadlines = {12, 16, 24, 32, 48};
+    smdp::WindowSmdpConfig wcfg;
+    wcfg.lambda = lambda_;
+    wcfg.tx_slots = static_cast<std::size_t>(tx_);
+    wcfg.mc_samples = static_cast<std::size_t>(samples);
+    const auto solved_models = smdp::solve_window_models(
+        wcfg, deadlines, &ctx.scheduler().pool());
+    for (std::size_t d = 0; d < deadlines.size(); ++d) {
+      const auto k = static_cast<long long>(deadlines[d]);
+      const auto& solved = solved_models[d];
       std::vector<double> width_table(solved.width_per_state.size());
       for (std::size_t i = 0; i < width_table.size(); ++i) {
         width_table[i] = static_cast<double>(solved.width_per_state[i]);

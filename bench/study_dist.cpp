@@ -7,6 +7,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -74,6 +75,45 @@ std::unique_ptr<Study> make_configured_study(
   }
   return study;
 }
+
+/// Test-only fault injection for the distributed smoke's crash leg. With
+/// TCW_TEST_CRASH_AFTER_SHARDS=N (N >= 1) in its environment, a worker
+/// process calls _exit(kInjectedCrashExit) right after persisting its Nth
+/// shard, while the shards it claimed but has not finished still hold
+/// their leases: a crash at a fixed point of the run, whatever the host's
+/// speed. 0 when unset.
+constexpr int kInjectedCrashExit = 86;
+
+long long crash_after_shards_from_env() {
+  const char* text = std::getenv("TCW_TEST_CRASH_AFTER_SHARDS");
+  if (text == nullptr) return 0;
+  const long long n = std::atoll(text);
+  return n > 0 ? n : 0;
+}
+
+/// Forwards to the worker's gate and counts persisted shards down to the
+/// injected crash.
+class CrashAfterShardsGate final : public exec::ShardGate {
+ public:
+  CrashAfterShardsGate(exec::ShardGate& inner,
+                       std::atomic<long long>& remaining)
+      : inner_(inner), remaining_(remaining) {}
+
+  void observe(const exec::ShardKey& key, bool cached) override {
+    inner_.observe(key, cached);
+  }
+  bool admit(const exec::ShardKey& key) override {
+    return inner_.admit(key);
+  }
+  void completed(const exec::ShardKey& key) override {
+    inner_.completed(key);
+    if (remaining_.fetch_sub(1) == 1) _exit(kInjectedCrashExit);
+  }
+
+ private:
+  exec::ShardGate& inner_;
+  std::atomic<long long>& remaining_;
+};
 
 /// Background thread feeding the global-universe progress row: rescans
 /// every study's shared cache and recounts which universe keys are now
@@ -336,6 +376,8 @@ int run_study_workers(const StudyCommonOptions& common,
   const std::size_t max_passes =
       dist.max_passes > 0 ? static_cast<std::size_t>(dist.max_passes)
                           : static_cast<std::size_t>(dist.total) + 8;
+  const long long crash_after = crash_after_shards_from_env();
+  std::atomic<long long> crash_countdown{crash_after};
   std::size_t passes = 0;
   std::size_t universe = 0;
   std::size_t cached_at_start = 0;
@@ -361,6 +403,7 @@ int run_study_workers(const StudyCommonOptions& common,
     std::vector<std::unique_ptr<Study>> studies;
     std::vector<std::unique_ptr<exec::ShardCache>> caches;
     std::vector<std::unique_ptr<exec::DistWorkerGate>> gates;
+    std::vector<std::unique_ptr<CrashAfterShardsGate>> crash_gates;
     std::vector<std::unique_ptr<StudyContext>> contexts;
     const std::string writer = owner + "-p" + std::to_string(pass);
     bool flags_ok = true;
@@ -373,7 +416,13 @@ int run_study_workers(const StudyCommonOptions& common,
           &leases, dist.index, dist.total, steal_this_pass));
       contexts.push_back(std::make_unique<StudyContext>(
           e->spec, per_study, scheduler, caches.back().get()));
-      contexts.back()->set_gate(gates.back().get());
+      exec::ShardGate* gate = gates.back().get();
+      if (crash_after > 0) {
+        crash_gates.push_back(
+            std::make_unique<CrashAfterShardsGate>(*gate, crash_countdown));
+        gate = crash_gates.back().get();
+      }
+      contexts.back()->set_gate(gate);
       studies.back()->schedule(*contexts.back());
     }
     if (!flags_ok) return 1;

@@ -190,30 +190,35 @@ int main(int argc, char** argv) {
   model.offered_load = rho;
   model.message_length = m;
 
+  // -1 marks "no analytic model" (random order, or --analytic=false).
+  std::vector<double> analytic(grid.size(), -1.0);
+  if (with_analytic) {
+    switch (variant) {
+      case tcw::net::ProtocolVariant::Controlled:
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+          analytic[i] =
+              tcw::analysis::controlled_loss_at(model, grid[i], 0.2).p_loss;
+        }
+        break;
+      case tcw::net::ProtocolVariant::FcfsNoDiscard:
+        analytic = tcw::analysis::fcfs_nodiscard_loss_curve(model, grid);
+        break;
+      case tcw::net::ProtocolVariant::LcfsNoDiscard:
+        analytic = tcw::analysis::lcfs_nodiscard_loss_curve(model, grid);
+        break;
+      case tcw::net::ProtocolVariant::RandomNoDiscard:
+        break;
+    }
+  }
+
   tcw::Table table({"K", "p_loss", "ci95", "analytic", "mean_wait",
                     "sched", "utilization"});
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    double analytic = -1.0;
-    if (with_analytic) {
-      switch (variant) {
-        case tcw::net::ProtocolVariant::Controlled:
-          analytic =
-              tcw::analysis::controlled_loss_at(model, grid[i], 0.2).p_loss;
-          break;
-        case tcw::net::ProtocolVariant::FcfsNoDiscard:
-          analytic = tcw::analysis::fcfs_nodiscard_loss(model, grid[i]);
-          break;
-        case tcw::net::ProtocolVariant::LcfsNoDiscard:
-          analytic = tcw::analysis::lcfs_nodiscard_loss(model, grid[i]);
-          break;
-        case tcw::net::ProtocolVariant::RandomNoDiscard:
-          break;  // no analytic model for random order
-      }
-    }
     table.add_row({tcw::format_fixed(grid[i], 1),
                    tcw::format_fixed(pts[i].p_loss, 5),
                    tcw::format_fixed(pts[i].ci95, 5),
-                   analytic < 0.0 ? "-" : tcw::format_fixed(analytic, 5),
+                   analytic[i] < 0.0 ? "-"
+                                     : tcw::format_fixed(analytic[i], 5),
                    tcw::format_fixed(pts[i].mean_wait, 2),
                    tcw::format_fixed(pts[i].mean_scheduling, 3),
                    tcw::format_fixed(pts[i].utilization, 4)});

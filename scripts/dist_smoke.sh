@@ -6,10 +6,12 @@
 #   (a) 1 worker (--drain) then --merge,
 #   (b) 4 sequential partitioned workers (--no-steal) then --merge,
 #   (c) 4 concurrent worker processes (stealing on) then --merge,
-# plus a crash leg at a heavier scale: a worker is SIGKILLed mid-run
-# (leases left behind, possibly a torn store segment), a fresh worker
-# drains the rest after the stale window, and the merge must still be
-# byte-identical. Also asserts the --progress cluster row under a
+# plus a crash leg at a heavier scale: a worker dies mid-run through the
+# test-only TCW_TEST_CRASH_AFTER_SHARDS hook (it _exits right after
+# persisting its Nth shard, leases left behind -- a fixed point of the
+# run on any host), a fresh worker drains the rest after the stale
+# window, and the merge must still be byte-identical. Also asserts the
+# --progress cluster row under a
 # distributed run and emits a dist baseline BENCH_JSON comparing the
 # 1-worker and 4-worker wall clocks.
 # Usage: dist_smoke.sh <study_tool-binary> <scratch-dir>.
@@ -78,23 +80,26 @@ for study in policy_grid ablation_window_size; do
        }' | tee -a dist_baseline.log
 done
 
-# Crash leg: heavy enough that SIGKILL lands mid-run (~2s of shards).
+# Crash leg: the victim dies after persisting 2 of its home shards.
 study=ablation_window_size
 args=(--t-end=2000000 --reps=2)
 echo "-- dist smoke [crash]: single-process reference at crash-leg scale"
 "$tool" "$study" "${args[@]}" --csv=crash_single.csv \
     >crash_single.log 2>&1
 
-echo "-- dist smoke [crash]: worker 0/2 SIGKILLed mid-run"
-"$tool" --worker 0/2 --cache-dir=crash --heartbeat-seconds=0.1 \
-    --lease-stale-seconds=0.5 "${args[@]}" "$study" \
-    >crash_w0.log 2>&1 &
-victim=$!
-sleep 0.6
-kill -9 "$victim" 2>/dev/null || true
-wait "$victim" 2>/dev/null || true
+echo "-- dist smoke [crash]: worker 0/2 crashes after its 2nd shard"
+victim_status=0
+TCW_TEST_CRASH_AFTER_SHARDS=2 "$tool" --worker 0/2 --cache-dir=crash \
+    --heartbeat-seconds=0.1 --lease-stale-seconds=0.5 "${args[@]}" \
+    "$study" >crash_w0.log 2>&1 || victim_status=$?
+if [ "$victim_status" -ne 86 ]; then
+  echo "dist smoke FAILED: crash-leg worker exited $victim_status, not" \
+       "through the injected crash (86)" >&2
+  exit 1
+fi
 
 echo "-- dist smoke [crash]: replacement worker drains after stale window"
+# The victim is dead, so its leases age past --lease-stale-seconds.
 sleep 0.6
 "$tool" --drain --cache-dir=crash --lease-stale-seconds=0.5 \
     "${args[@]}" "$study" >crash_drain.log 2>&1
@@ -104,8 +109,8 @@ cmp crash_single.csv crash_merged.csv
 
 claimed=$(sed -n 's/.*"claimed":\([0-9]*\).*/\1/p' crash_drain.log)
 if [ -z "$claimed" ] || [ "$claimed" -eq 0 ]; then
-  echo "dist smoke FAILED: replacement worker claimed nothing --" \
-       "SIGKILL missed the run; raise the crash-leg workload" >&2
+  echo "dist smoke FAILED: replacement worker claimed nothing after" \
+       "the crashed worker" >&2
   grep BENCH_JSON crash_drain.log >&2 || true
   exit 1
 fi
@@ -114,5 +119,5 @@ grep -q '"compacted":true' crash_merge.log || {
   exit 1
 }
 echo "dist smoke OK: merged CSVs byte-identical to single-process for" \
-     "1/4-sequential/4-concurrent workers and after a SIGKILLed worker" \
+     "1/4-sequential/4-concurrent workers and after a crashed worker" \
      "(replacement claimed $claimed shard(s))"

@@ -10,7 +10,7 @@
 # observability smoke (overlays on/off at 1 and N threads must leave
 # every CSV byte-identical), a distributed worker/merge smoke
 # (multi-process workers over a shared shard store; merged CSVs must be
-# byte-identical to single-process, including after a SIGKILLed worker),
+# byte-identical to single-process, including after a crashed worker),
 # a flight-recorder smoke (packet capture + slot series are a strict
 # overlay, thread-count invariant, and distributed merges reproduce the
 # single-process flight report byte for byte), an informational
@@ -84,7 +84,7 @@ cmake --build build-tsan -j --target test_thread_pool \
     test_sweep_determinism test_sweep_scheduler test_flat_deque \
     test_kernel_fastpath test_event_skip test_protocol_engines \
     test_multichannel test_shard_cache test_study test_obs test_dist_exec \
-    test_flight_recorder test_slot_series
+    test_flight_recorder test_slot_series test_window_model
 (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog')
+    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|WindowSmdp')
 echo "tier-1 OK"

@@ -81,6 +81,9 @@ class SweepScheduler {
   std::size_t sweep_count() const { return sweeps_.size(); }
   std::size_t shard_count() const;
   unsigned threads() const { return static_cast<unsigned>(pool_.size()); }
+  /// The borrowed pool. Work submitted to it before run() (for example
+  /// at schedule time) must be waited on before run() starts.
+  ThreadPool& pool() { return pool_; }
 
   /// Run every registered shard to completion across the shared pool and
   /// return the consolidated report. With a single worker the shards run

@@ -8,7 +8,9 @@
 //
 // The kernel of each (state, width) pair is estimated by Monte Carlo over
 // the windowing process (Poisson arrivals, exact splitting dynamics), with
-// probabilistic rounding onto the slot lattice. Costs are the expected
+// probabilistic rounding onto the slot lattice. Models of several
+// deadlines share one pass over the largest deadline's sample stream,
+// each bit-identical to its own one-model build. Costs are the expected
 // one-step pseudo losses: lambda times the expected backlog overflow past
 // K during the process. Solving the model yields both the optimal width
 // table w*(i) and the minimal loss rate -- and demonstrates, timed, the
@@ -21,6 +23,10 @@
 
 #include "smdp/policy_iteration.hpp"
 #include "smdp/smdp.hpp"
+
+namespace tcw::exec {
+class ThreadPool;
+}
 
 namespace tcw::smdp {
 
@@ -37,6 +43,18 @@ struct WindowSmdpConfig {
 /// 0 (and as a fallback everywhere), the "wait one slot" action.
 Smdp build_window_smdp(const WindowSmdpConfig& config);
 
+/// Build one model per entry of `deadlines` (any order, duplicates
+/// allowed; `base.deadline` is ignored), each bit-identical to
+/// build_window_smdp at that deadline, from one pass over the largest
+/// deadline's sample stream. With a pool of two or more workers the
+/// calling thread walks the stream and the pool estimates each (state,
+/// width) pair; the pool must not be running this call's caller, and
+/// the call waits for every job in it. Adds the registry counters
+/// `smdp.mc_samples` (samples drawn) and `smdp.state_actions`.
+std::vector<Smdp> build_window_smdps(const WindowSmdpConfig& base,
+                                     const std::vector<std::size_t>& deadlines,
+                                     exec::ThreadPool* pool = nullptr);
+
 struct WindowPolicyResult {
   std::vector<std::size_t> width_per_state;  // chosen w per state (0 = wait)
   double loss_fraction = 0.0;  // gain / lambda: fraction of messages lost
@@ -46,5 +64,12 @@ struct WindowPolicyResult {
 
 /// Build and solve the model with Howard policy iteration.
 WindowPolicyResult solve_window_model(const WindowSmdpConfig& config);
+
+/// build_window_smdps, then solve each model in request order, freeing it
+/// once solved. Adds the registry counters `smdp.pi_rounds` and
+/// `smdp.linear_solves`.
+std::vector<WindowPolicyResult> solve_window_models(
+    const WindowSmdpConfig& base, const std::vector<std::size_t>& deadlines,
+    exec::ThreadPool* pool = nullptr);
 
 }  // namespace tcw::smdp

@@ -229,6 +229,26 @@ TEST(StudyRunner, LossCurveStudyResumeWritesIdenticalCsv) {
   EXPECT_EQ(slurp(fresh.csv), slurp(resume.csv));
 }
 
+TEST(StudyRunner, AdaptiveWidthCsvIsThreadCountInvariant) {
+  // The SMDP width tables are built on the scheduler's pool at schedule
+  // time: inline at one worker, pipelined at four.
+  const std::string dir = ::testing::TempDir() + "/tcw_study_adaptive";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::vector<std::string> shrink{"--t-end=3000", "--reps=1",
+                                        "--samples=300"};
+  std::vector<std::string> csvs;
+  for (const long long threads : {1LL, 4LL}) {
+    bench::StudyCommonOptions opts;
+    opts.threads = threads;
+    opts.csv = dir + "/t" + std::to_string(threads) + ".csv";
+    ASSERT_EQ(bench::run_study("ablation_adaptive_width", opts, shrink), 0);
+    csvs.push_back(slurp(opts.csv));
+  }
+  EXPECT_FALSE(csvs[0].empty());
+  EXPECT_EQ(csvs[0], csvs[1]);
+}
+
 TEST(StudyRunner, GenericStudyResumeWritesIdenticalCsv) {
   const std::string dir = ::testing::TempDir() + "/tcw_study_prio";
   std::filesystem::remove_all(dir);
