@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the library's hot kernels: RNG
-// draws, event-queue churn, lattice convolutions, the renewal-function
-// series, the splitting recursions, controller probe steps, and end-to-end
-// simulated slots per second.
+// draws, lattice convolutions, the renewal-function series, the splitting
+// recursions, controller probe steps, and end-to-end simulated slots per
+// second.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "core/controller.hpp"
 #include "dist/families.hpp"
 #include "net/aggregate_sim.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/sampling.hpp"
 
@@ -42,22 +41,6 @@ void BM_PoissonSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoissonSample)->Arg(5)->Arg(13)->Arg(50);
-
-void BM_EventQueueChurn(benchmark::State& state) {
-  tcw::sim::EventQueue q;
-  tcw::sim::Rng rng(2);
-  const std::size_t depth = static_cast<std::size_t>(state.range(0));
-  for (std::size_t i = 0; i < depth; ++i) {
-    q.schedule(tcw::sim::uniform01(rng) * 1e6, [] {});
-  }
-  double t = 1e6;
-  for (auto _ : state) {
-    auto e = q.pop();
-    benchmark::DoNotOptimize(e);
-    q.schedule(t += 0.5, [] {});
-  }
-}
-BENCHMARK(BM_EventQueueChurn)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_Convolve(benchmark::State& state) {
   const auto len = static_cast<std::size_t>(state.range(0));

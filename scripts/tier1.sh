@@ -2,7 +2,9 @@
 # Tier-1 verification: full build + full test suite, then the concurrency
 # tests (thread pool, multi-sweep scheduler, parallel sweep determinism)
 # and the kernel fast-path tests rebuilt and re-run under ThreadSanitizer
-# so data races in the sweep engine fail CI, not users, plus end-to-end
+# so data races in the sweep engine fail CI, not users, the tests that
+# reach the finite-station network rebuilt and re-run under ASan+UBSan
+# (any report aborts the test), plus end-to-end
 # smokes: the fig7_all --quick suite with its sequential-baseline
 # bit-equality cross-check, kernel_bench --verify bit-comparing the fast
 # per-slot kernels against their retained reference paths, a cache-resume
@@ -77,6 +79,15 @@ python3 scripts/check_bench_json.py \
     build/bench/multichannel_smoke/standalone.log \
     build/bench/multichannel_smoke/resume.log \
     build/bench/dist_smoke/*.log
+
+echo "== tier-1: finite-station network tests under ASan+UBSan =="
+cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all >/dev/null
+cmake --build build-asan -j --target test_network test_multichannel \
+    test_event_skip test_kernel_fastpath test_seed_streams test_trace \
+    test_flight_recorder test_slot_series test_experiment
+(cd build-asan && ctest --output-on-failure \
+    -R '^(Network|NetworkKernel|AggregateKernel|KernelWarmupEdge|MultiChannel|EventSkip|SeedStreams|TraceIntegration|TraceLog|BoundedRing|FlightRecorder|SlotSeries|LinearGrid|PolicyFor|Sweep|SweepConfig|ToString)\.')
 
 echo "== tier-1: concurrency + kernel tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DTCW_SANITIZE=thread >/dev/null

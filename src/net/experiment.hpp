@@ -157,9 +157,7 @@ struct SweepCacheBinding {
 
 /// Everything one loss-curve sweep needs: the workload/engine/channel
 /// configuration, the ascending K grid, and the policy source. This is
-/// the options struct of the single entry point net::run_sweep, which
-/// replaced the five simulate_loss_curve* / schedule_loss_curve*
-/// functions (kept as deprecated shims for one PR).
+/// the options struct of net::run_sweep, the single sweep entry point.
 struct SweepRequest {
   SweepConfig config;
   /// Ascending K grid; one SweepPoint per entry.
@@ -204,40 +202,6 @@ struct SweepBindings {
 /// for any thread count, with or without a scheduler or cache).
 ScheduledSweep run_sweep(const SweepRequest& request,
                          const SweepBindings& bindings = {});
-
-/// Deprecated shims over run_sweep (one-PR compatibility surface).
-[[deprecated("use net::run_sweep(SweepRequest)")]]
-std::vector<SweepPoint> simulate_loss_curve(
-    const SweepConfig& config, ProtocolVariant variant,
-    const std::vector<double>& constraints, SweepTiming* timing = nullptr);
-
-[[deprecated("use net::run_sweep(SweepRequest)")]]
-std::vector<SweepPoint> simulate_loss_curve_custom(
-    const SweepConfig& config,
-    const std::function<core::ControlPolicy(double)>& make_policy,
-    const std::vector<double>& constraints, SweepTiming* timing = nullptr);
-
-[[deprecated("use net::run_sweep(SweepRequest) with SweepBindings")]]
-ScheduledSweep schedule_loss_curve(exec::SweepScheduler& scheduler,
-                                   std::string name,
-                                   const SweepConfig& config,
-                                   ProtocolVariant variant,
-                                   const std::vector<double>& constraints);
-
-[[deprecated("use net::run_sweep(SweepRequest) with SweepBindings")]]
-ScheduledSweep schedule_loss_curve_custom(
-    exec::SweepScheduler& scheduler, std::string name,
-    const SweepConfig& config,
-    const std::function<core::ControlPolicy(double)>& make_policy,
-    const std::vector<double>& constraints);
-
-[[deprecated("use net::run_sweep(SweepRequest) with SweepBindings")]]
-ScheduledSweep schedule_loss_curve_cached(
-    exec::SweepScheduler& scheduler, std::string name,
-    const SweepConfig& config,
-    const std::function<core::ControlPolicy(double)>& make_policy,
-    const std::vector<double>& constraints,
-    const SweepCacheBinding& binding);
 
 /// Handle to a sweep built by run_sweep. Copyable; all copies view the
 /// same shard slots.

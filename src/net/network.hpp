@@ -13,6 +13,10 @@
 // further messages whose arrivals lie in that window. Those are re-stamped
 // to the current instant for window eligibility (their true arrival time,
 // used for deadlines and delay metrics, is unchanged).
+//
+// Each channel of the ChannelPlan is a lane: C coupled copies of the same
+// chain, sharing only the arrival streams and the metric accumulators.
+// A single-channel run is one lane on the raw seeds, with no selector.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +44,11 @@ struct NetworkConfig {
   /// Which MAC discipline runs the slot-by-slot access decisions and how
   /// many channels it is sharded across. The default is the paper's
   /// window engine on one channel; see net/protocol_engine.hpp and
-  /// net/channel_plan.hpp for the catalogs. Multi-channel runs
-  /// (mac.channel.channels > 1) route each message to one channel at
-  /// arrival time and step lanes in argmin-clock order; they exclude
-  /// event_skip, traces, and the desync test hook.
+  /// net/channel_plan.hpp for the catalogs. Every channel is a lane with
+  /// its own engine replicas, clock and queues; messages are routed to a
+  /// lane at arrival time and lanes step in argmin-clock order. Runs with
+  /// more than one channel exclude event_skip, traces, and the desync
+  /// test hook.
   PolicyConfig mac;
   double message_length = 25.0;
   double success_overhead = 1.0;
@@ -76,10 +81,12 @@ struct NetworkConfig {
   /// arrival-or-end event instead of iterating the empty slots. Requires
   /// the batched arrival stream (homogeneous_poisson_batched) -- the
   /// per-station lazy draws interleave on the shared rng_ in
-  /// schedule-dependent order -- and no trace / reference kernel / desync
-  /// injection. Metrics are bit-identical to the per-slot fast path on the
-  /// same batched stream (kernel_bench --verify and tests/test_event_skip
-  /// prove it).
+  /// schedule-dependent order -- a single channel, and no trace /
+  /// reference kernel / desync injection. (With several channels, skipping
+  /// one lane ahead would reorder its additions to the shared Welford
+  /// accumulators against the other lanes' slots.) Metrics are
+  /// bit-identical to the per-slot fast path on the same batched stream
+  /// (kernel_bench --verify and tests/test_event_skip prove it).
   bool event_skip = false;
   /// Optional event trace; must outlive the network. Not owned.
   sim::TraceLog* trace = nullptr;
@@ -139,20 +146,21 @@ class Network {
   /// Slots covered by event-skip certificates rather than stepped one by
   /// one (0 unless NetworkConfig::event_skip; benches report the ratio).
   std::uint64_t skipped_slots() const { return skipped_slots_; }
-  /// Engine replicas actually stepped (canonical + shadows); only
-  /// meaningful once run() has started. Before run() it reports what the
-  /// configuration will resolve to for the current station count. Always
-  /// at least 1: the canonical replica exists in every configuration.
+  /// Engine replicas actually stepped per channel (canonical + shadows);
+  /// only meaningful once run() has started. Before run() it reports what
+  /// the configuration will resolve to for the current station count.
+  /// Always at least 1: the canonical replica exists in every
+  /// configuration.
   std::size_t controller_replicas() const;
 
   /// Test hook: apply one out-of-band probe/feedback round to replica
-  /// `replica` (0 = canonical), desynchronizing it from the others. The
-  /// consistency checks must then report the divergence. Call after
-  /// add_station and before run(). run() rejects the injection (contract
-  /// violation) when fewer than two replicas resolve: with only the
-  /// canonical replica a divergence has no peer to be observed against,
-  /// and desyncing the canonical would silently corrupt the simulation
-  /// instead of flagging inconsistency.
+  /// `replica` (0 = canonical) of the single channel, desynchronizing it
+  /// from the others. The consistency checks must then report the
+  /// divergence. Call after add_station and before run(). run() rejects
+  /// the injection (contract violation) when fewer than two replicas
+  /// resolve: with only the canonical replica a divergence has no peer to
+  /// be observed against, and desyncing the canonical would silently
+  /// corrupt the simulation instead of flagging inconsistency.
   void desync_replica_for_test(std::size_t replica);
 
  private:
@@ -160,8 +168,6 @@ class Network {
     chan::StationId id = 0;
     std::unique_ptr<chan::ArrivalProcess> arrivals;
     double next_arrival = 0.0;
-    std::deque<chan::Message> queue;  // sorted by window_stamp
-    std::ptrdiff_t active_pos = -1;   // slot in active_, -1 when queue empty
   };
 
   struct BatchedArrival {
@@ -169,79 +175,92 @@ class Network {
     std::uint32_t station = 0;
   };
 
-  /// One channel of a multi-channel run: its engine replicas, slot clock,
-  /// coin stream, per-station message queues, active-station index, and
-  /// outcome tally. The single-channel path never builds these (it runs
-  /// the original loop on the flat members below, bit-identically).
-  struct McLane {
+  /// One station's messages on one lane.
+  struct StationQueue {
+    std::deque<chan::Message> msgs;  // sorted by window_stamp
+    std::ptrdiff_t active_pos = -1;  // slot in Lane::active, -1 when empty
+  };
+
+  /// One channel: its engine replicas, slot clock, coin stream,
+  /// per-station message queues, active-station index, and outcome tally.
+  /// A single-channel run is one lane on the raw seeds.
+  struct Lane {
+    // engines[0] is the canonical replica driving the channel; the rest
+    // are the shadows check_consistency audits (all stations under
+    // reference_kernel or the default shadow_replicas).
     std::vector<std::unique_ptr<ProtocolEngine>> engines;
+    // Transmission coins for Probability plans, engine-id-keyed and
+    // separate from the arrival stream. Local (kernel-side) randomness:
+    // replicas never see it, so engines stay pure functions of the
+    // feedback. Never drawn under the window engine -- its plans carry no
+    // probability.
     sim::Rng coin_rng{0};
     double now = 0.0;
     double last_tx_end = 0.0;
     bool consistent = true;
     std::uint64_t pending = 0;  // messages queued across all stations
-    std::vector<std::deque<chan::Message>> queues;  // per station, by stamp
-    std::vector<std::uint32_t> active;              // station ids
-    std::vector<std::ptrdiff_t> active_pos;         // per station, -1 = out
+    std::vector<StationQueue> queues;   // indexed by station id
+    std::vector<std::uint32_t> active;  // ids of stations with pending work
+    // Observability tallies, plain locals on the hot path, flushed into
+    // the global obs registry once, in finalize(). They never feed back
+    // into the simulation (no RNG draws, no control flow).
     obs::ChannelTally tally;
-    // Deadline-loss attribution state (always on, observation-only);
-    // see the single-channel members below for semantics.
+    // Deadline-loss attribution (always on -- the classification is pure
+    // observation and feeds the cached sweep payloads). Window engines:
+    // window-stamp spans of every collided probe; a purged message whose
+    // stamp lies in a collided span reached the channel and lost
+    // (collision_killed), otherwise the window never admitted it in time
+    // (admission_starved). Probability engines: message ids that ever
+    // transmitted into a collision (collision_killed at purge); the rest
+    // aged out in queue (queue_expired -- ALOHA has no admission control).
+    // Pruned against the discard cutoff / erased on success, so both stay
+    // bounded by the live backlog.
     tcw::IntervalSet collided_spans;
     std::unordered_set<std::uint64_t> collided_ids;
+    // Scratch: (message id, arrival) of the current Probability slot's
+    // transmitters, reused across slots.
     std::vector<std::pair<std::uint64_t, double>> tx_scratch;
   };
 
   void generate_arrivals_until(double t);
+  /// The selector's lane for an arrival (only with more than one lane).
+  std::uint32_t route_arrival(double arrival);
+  /// Queue `msg` on its lane (lane 0 with one channel).
+  void enqueue(const chan::Message& msg);
   void refill_batched_block();
   /// Time of the next undelivered batched arrival (refills as needed).
   double next_batched_arrival();
-  /// Event-skip fast path: with no active station, certify a quiescent
-  /// stretch across every replica, replay its per-slot metric pattern
-  /// exactly, and fast-forward the engines. Returns false when no stretch
-  /// is certified (the caller steps the slot normally).
-  bool try_skip_quiescent();
-  void purge_expired();
-  /// Index of the message with the oldest stamp inside [lo, hi); -1 if none.
-  static std::ptrdiff_t eligible_index(const Station& st, double lo,
-                                       double hi);
-  static std::ptrdiff_t eligible_index_q(const std::deque<chan::Message>& q,
-                                         double lo, double hi);
-  void build_engines();
-  void check_consistency();
+  /// Event-skip fast path (single channel): with no active station,
+  /// certify a quiescent stretch across every replica, replay its
+  /// per-slot metric pattern exactly, and fast-forward the engines.
+  /// Returns false when no stretch is certified (the caller steps the
+  /// slot normally).
+  bool try_skip_quiescent(Lane& lane);
+  void step_lane(Lane& lane, std::uint32_t ch);
+  void purge_expired(Lane& lane, std::uint32_t ch);
+  void check_consistency(Lane& lane);
   void finalize();
-  void activate(Station& st);
-  void deactivate(Station& st);
+  void activate(Lane& lane, std::uint32_t station);
+  void deactivate(Lane& lane, std::uint32_t station);
   /// Move the transmitter's messages stranded in the resolved window
   /// [lo, hi) behind everything else, re-stamped to fresh instants.
-  void restamp_stranded(Station& st, double lo, double hi);
-
-  // Multi-channel (mac.channel.channels > 1) machinery. Lanes step in
-  // argmin-clock order, so every arrival at or below a lane's clock is
-  // routed before that lane probes.
-  const SimMetrics& run_multichannel();
-  void mc_step_lane(McLane& lane, std::uint32_t ch);
-  void mc_generate_arrivals_until(double t);
-  void mc_route_message(chan::Message msg);
-  void mc_purge_expired(McLane& lane, std::uint32_t ch);
-  void mc_check_consistency(McLane& lane);
-  void mc_restamp_stranded(McLane& lane, std::uint32_t station, double lo,
-                           double hi);
-  void mc_activate(McLane& lane, std::uint32_t station);
-  void mc_deactivate(McLane& lane, std::uint32_t station);
+  void restamp_stranded(Lane& lane, std::uint32_t station, double lo,
+                        double hi);
 
   NetworkConfig config_;
   std::vector<Station> stations_;
-  // engines_[0] is the canonical replica driving the simulation; the rest
-  // are the shadows check_consistency audits (all stations under
-  // reference_kernel or the default shadow_replicas).
-  std::vector<std::unique_ptr<ProtocolEngine>> engines_;
-  std::vector<std::uint32_t> active_;  // ids of stations with pending work
+  // One lane per channel. Lanes step in argmin-clock order (ties to the
+  // lowest index), so every arrival at or below a lane's clock is routed
+  // before that lane probes.
+  std::vector<Lane> lanes_;
+  // Routing state; engaged only with more than one channel (C = 1 never
+  // consults a selector, preserving stream bit-identity).
+  std::optional<ChannelSelector> selector_;
+  // Scratch per-lane views for ChannelSelector::route.
+  std::vector<double> lane_now_scratch_;
+  std::vector<double> lane_busy_scratch_;
+  std::vector<std::uint64_t> lane_load_scratch_;
   sim::Rng rng_;
-  // Transmission coins for Probability plans, engine-id-keyed and separate
-  // from the arrival stream. Local (kernel-side) randomness: replicas
-  // never see it, so engines stay pure functions of the feedback. Never
-  // drawn under the window engine -- its plans carry no probability.
-  sim::Rng coin_rng_;
   // Batched aggregate arrival stream (homogeneous_poisson_batched); rate 0
   // means per-station mode. Runs on its own derived stream so the existing
   // per-station draws on rng_ stay bit-identical.
@@ -250,48 +269,14 @@ class Network {
   double batched_clock_ = 0.0;  // time of the last generated arrival
   std::vector<BatchedArrival> batched_block_;
   std::size_t batched_pos_ = 0;
-  double now_ = 0.0;
-  double last_tx_end_ = 0.0;
   chan::MessageId next_msg_id_ = 1;
-  std::uint64_t probe_steps_ = 0;
+  std::uint64_t restamps_ = 0;
   std::uint64_t skipped_slots_ = 0;
   std::uint64_t checks_run_ = 0;
   std::size_t desync_replica_ = SIZE_MAX;  // pending test-hook injection
   bool consistent_ = true;
   bool finished_ = false;
   SimMetrics metrics_;
-  // Observability tallies, kept as plain locals on the hot path and
-  // flushed into the global obs registry once, in finalize(). They never
-  // feed back into the simulation (no RNG draws, no control flow).
-  std::uint64_t obs_idle_ = 0;
-  std::uint64_t obs_collisions_ = 0;
-  std::uint64_t obs_successes_ = 0;
-  std::uint64_t obs_discards_ = 0;
-  std::uint64_t obs_restamps_ = 0;
-  // Deadline-loss attribution (always on -- the classification is pure
-  // observation and feeds the cached sweep payloads). Window engines:
-  // window-stamp spans of every collided probe; a purged message whose
-  // stamp lies in a collided span reached the channel and lost
-  // (collision_killed), otherwise the window never admitted it in time
-  // (admission_starved). Probability engines: message ids that ever
-  // transmitted into a collision (collision_killed at purge); the rest
-  // aged out in queue (queue_expired -- ALOHA has no admission control).
-  // Pruned against the discard cutoff / erased on success, so both stay
-  // bounded by the live backlog.
-  std::uint64_t obs_admission_starved_ = 0;
-  std::uint64_t obs_collision_killed_ = 0;
-  std::uint64_t obs_queue_expired_ = 0;
-  tcw::IntervalSet collided_spans_;
-  std::unordered_set<std::uint64_t> collided_ids_;
-  // Scratch: (message id, arrival) of the current Probability slot's
-  // transmitters, reused across slots.
-  std::vector<std::pair<std::uint64_t, double>> tx_scratch_;
-  // Multi-channel state; empty/disengaged in single-channel runs.
-  std::vector<McLane> mc_lanes_;
-  std::optional<ChannelSelector> selector_;
-  std::vector<double> lane_now_scratch_;
-  std::vector<double> lane_busy_scratch_;
-  std::vector<std::uint64_t> lane_load_scratch_;
 };
 
 }  // namespace tcw::net

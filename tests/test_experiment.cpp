@@ -187,33 +187,4 @@ TEST(Sweep, ControlledBeatsBaselinesAtModerateK) {
   EXPECT_LT(controlled[0].p_loss, lcfs[0].p_loss + 0.02);
 }
 
-TEST(RunSweep, DeprecatedShimsAreBitIdentical) {
-  // The five legacy entry points are pure re-spellings of run_sweep; this
-  // pins the contract with a bitwise comparison on one of them.
-  const auto cfg = quick_config();
-  const std::vector<double> grid{40.0, 80.0};
-  const auto via_api = sweep(cfg, net::ProtocolVariant::Controlled, grid);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  const auto via_shim = net::simulate_loss_curve(
-      cfg, net::ProtocolVariant::Controlled, grid);
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-  ASSERT_EQ(via_shim.size(), via_api.size());
-  for (std::size_t i = 0; i < via_api.size(); ++i) {
-    EXPECT_EQ(via_shim[i].constraint, via_api[i].constraint);
-    EXPECT_EQ(via_shim[i].p_loss, via_api[i].p_loss);
-    EXPECT_EQ(via_shim[i].ci95, via_api[i].ci95);
-    EXPECT_EQ(via_shim[i].mean_wait, via_api[i].mean_wait);
-    EXPECT_EQ(via_shim[i].mean_scheduling, via_api[i].mean_scheduling);
-    EXPECT_EQ(via_shim[i].utilization, via_api[i].utilization);
-    EXPECT_EQ(via_shim[i].sender_loss_frac, via_api[i].sender_loss_frac);
-    EXPECT_EQ(via_shim[i].receiver_loss_frac, via_api[i].receiver_loss_frac);
-    EXPECT_EQ(via_shim[i].messages, via_api[i].messages);
-  }
-}
-
 }  // namespace

@@ -2,8 +2,10 @@
 // randomized {channels, selector, engine, N, rho} conformance between the
 // fast kernels and the retained reference steppers, the C = 1
 // selector-independence contract (the selector is never consulted, so
-// every selector yields the bit-identical single-channel run), and the
-// per-channel slot-outcome tallies summing to the run totals. Suite name
+// every selector yields the bit-identical single-channel run), the
+// routing-only surfaces (per-channel counters, kRoute flight events)
+// appearing only with several channels, and the per-channel slot-outcome
+// tallies summing to the run totals. Suite name
 // MultiChannel is targeted by the tier-1 TSan filter in scripts/tier1.sh.
 #include <gtest/gtest.h>
 
@@ -18,6 +20,7 @@
 #include "net/channel_plan.hpp"
 #include "net/network.hpp"
 #include "obs/channel_counters.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -138,11 +141,16 @@ TEST(MultiChannel, RandomizedConformanceFastVsReference) {
 TEST(MultiChannel, SingleChannelIgnoresSelector) {
   // With C = 1 the selector is never consulted and no selector stream is
   // created: every selector (and any skew) must reproduce the default
-  // single-channel run bit-for-bit, on both kernel paths.
+  // single-channel run bit-for-bit, on both kernel paths of both the
+  // aggregate and the finite-station model.
   const double lambda = 0.15;
   const double k = 16.0;
+  const std::size_t stations = 20;
+  const double station_lambda = lambda / static_cast<double>(stations);
   const net::PolicyConfig def;  // C = 1, hash-shard, skew 0
   const std::string baseline = run_aggregate(def, lambda, k, false);
+  const std::string net_baseline =
+      run_network(def, stations, station_lambda, k, false);
   for (const ChannelSelectorKind selector : kSelectors) {
     const net::PolicyConfig mac =
         make_mac(EngineKind::Window, 1, selector, lambda, /*skew=*/0.25);
@@ -150,6 +158,54 @@ TEST(MultiChannel, SingleChannelIgnoresSelector) {
         << net::to_string(selector);
     EXPECT_EQ(run_aggregate(mac, lambda, k, true), baseline)
         << net::to_string(selector);
+    EXPECT_EQ(run_network(mac, stations, station_lambda, k, false),
+              net_baseline)
+        << net::to_string(selector);
+    EXPECT_EQ(run_network(mac, stations, station_lambda, k, true),
+              net_baseline)
+        << net::to_string(selector);
+  }
+}
+
+TEST(MultiChannel, NetworkRoutingSurfacesOnlyWithSeveralChannels) {
+  // The per-channel registry counters and the kRoute flight events belong
+  // to routing: a C = 1 network run emits neither, a C = 2 run both.
+  for (const std::uint32_t channels : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "C=" << channels);
+    obs::Registry::global().reset();
+    obs::FlightRecorder recorder({7u, 1.0, 1 << 16});
+    obs::FlightRecorder::Segment* seg = recorder.segment("run");
+    net::NetworkConfig cfg;
+    cfg.policy = ControlPolicy::optimal(
+        16.0, tcw::analysis::optimal_window_load() / 0.2);
+    cfg.mac = make_mac(EngineKind::Window, channels,
+                       ChannelSelectorKind::HashShard, 0.2);
+    cfg.message_length = 4.0;
+    cfg.t_end = 4000.0;
+    cfg.warmup = 400.0;
+    cfg.seed = 7;
+    cfg.capture.flight = seg;
+    auto sim = net::Network::homogeneous_poisson(cfg, 20, 0.2);
+    sim.run();
+    const obs::RegistrySnapshot snap = obs::Registry::global().snapshot();
+    EXPECT_GT(snap.counter("net.network.probe_slots"), 0u);
+    EXPECT_GT(seg->count(obs::FlightEventKind::kArrival), 0u);
+    for (std::uint32_t c = 0; c < 2; ++c) {
+      const std::uint64_t probes = snap.counter(
+          obs::channel_counter_name("net.network", c, "probe_slots"));
+      if (channels == 1) {
+        EXPECT_EQ(probes, 0u) << "ch" << c;
+      } else {
+        EXPECT_GT(probes, 0u) << "ch" << c;
+      }
+    }
+    if (channels == 1) {
+      EXPECT_EQ(seg->count(obs::FlightEventKind::kRoute), 0u);
+    } else {
+      // Sample rate 1: every arrival is followed by its route event.
+      EXPECT_EQ(seg->count(obs::FlightEventKind::kRoute),
+                seg->count(obs::FlightEventKind::kArrival));
+    }
   }
 }
 
