@@ -30,9 +30,6 @@ net::ScheduledSweep StudyContext::sweep(
     const std::vector<double>& grid) {
   const std::string full = spec_.name + "/" + name;
   net::SweepConfig cfg = config;
-  if (common_.trace.log != nullptr && common_.trace_sweep == name) {
-    cfg.trace_request = common_.trace;
-  }
   // Kernel captures ride on the run's ObsSession when one is bound.
   // Worker mode never binds one (captures are local artifacts and a
   // partially-skipped sweep must not be reduced); the merge pass binds

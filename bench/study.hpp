@@ -15,9 +15,9 @@
 //      resumable (--resume) with byte-identical CSVs.
 //   3. render(): after the scheduler ran, print tables and write the CSV.
 //
-// The same Study instances back both the per-study shim binaries
-// (ablation_theorem1 etc., kept for compatibility) and study_tool, whose
-// --suite mode schedules every registered study on ONE scheduler/pool.
+// study_tool drives the registered Study instances: `study_tool <name>`
+// runs one, and --suite schedules every registered study on ONE
+// scheduler/pool.
 #pragma once
 
 #include <cstdint>
@@ -40,25 +40,20 @@ namespace tcw::bench {
 
 /// Static description of one registered study.
 struct StudySpec {
-  std::string name;         ///< registry key == shim binary name
+  std::string name;         ///< registry key == `study_tool <name>`
   std::string summary;      ///< one line, for --list / flags / README
   std::string figure;       ///< the paper claim it probes (README table)
   std::string default_csv;  ///< default CSV output path
 };
 
-/// Options the runner owns and every study shares. `trace`/`trace_sweep`
-/// have no flag spelling; embedding callers (tests) use them to attach a
-/// sim::TraceLog to one named sweep, carried whole as a
-/// SweepConfig::TraceRequest.
+/// Options the runner owns and every study shares.
 struct StudyCommonOptions {
   long long threads = 0;  ///< sweep workers; 0 = all hardware threads
   bool quick = false;     ///< shrink run lengths for smoke testing
   std::string csv;        ///< "" = the study's spec().default_csv
   std::string cache_dir;  ///< "" = shard caching disabled
   bool resume = false;    ///< reuse an existing shard store
-  net::SweepConfig::TraceRequest trace;
-  std::string trace_sweep;  ///< sweep name `trace` targets
-  ObsOptions obs;           ///< --trace-out / --manifest-out / --progress
+  ObsOptions obs;         ///< --trace-out / --manifest-out / --progress
 };
 
 /// Result slots of one generic (non-loss-curve) cached sweep: job i's
@@ -213,7 +208,8 @@ std::string study_store_path(const std::string& cache_dir,
 /// record) and feed the manifest collector. No-op without a cache.
 void print_cache_report(const std::string& study, const StudyContext& ctx);
 
-/// Standalone driver: the whole main() body of a per-study shim binary.
+/// Standalone driver for one study: parses its flags from argv and runs
+/// it (`study_tool <name> [flags...]`).
 int run_study_main(const std::string& name, int argc,
                    const char* const* argv);
 

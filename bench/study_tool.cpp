@@ -1,8 +1,8 @@
 // Generic driver over the declarative study registry (bench/study.hpp):
 //   study_tool --list                   enumerate registered studies
 //   study_tool --markdown               README bench-table rows
-//   study_tool <study> [flags...]       run one study (same flags as its
-//                                       shim binary)
+//   study_tool <study> [flags...]       run one study with its own flags
+//                                       and default CSV
 //   study_tool --suite [flags] [names]  run studies as ONE job graph on a
 //                                       shared scheduler; with --cache-dir
 //                                       and --resume the suite skips every

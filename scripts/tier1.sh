@@ -84,10 +84,10 @@ echo "== tier-1: finite-station network tests under ASan+UBSan =="
 cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined \
     -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all >/dev/null
 cmake --build build-asan -j --target test_network test_multichannel \
-    test_event_skip test_kernel_fastpath test_seed_streams test_trace \
+    test_event_skip test_kernel_fastpath test_seed_streams \
     test_flight_recorder test_slot_series test_experiment
 (cd build-asan && ctest --output-on-failure \
-    -R '^(Network|NetworkKernel|AggregateKernel|KernelWarmupEdge|MultiChannel|EventSkip|SeedStreams|TraceIntegration|TraceLog|BoundedRing|FlightRecorder|SlotSeries|LinearGrid|PolicyFor|Sweep|SweepConfig|ToString)\.')
+    -R '^(Network|NetworkKernel|AggregateKernel|KernelWarmupEdge|MultiChannel|EventSkip|SeedStreams|BoundedRing|FlightRecorder|SlotSeries|LinearGrid|PolicyFor|Sweep|SweepConfig|ToString)\.')
 
 echo "== tier-1: concurrency + kernel tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DTCW_SANITIZE=thread >/dev/null
@@ -97,5 +97,5 @@ cmake --build build-tsan -j --target test_thread_pool \
     test_multichannel test_shard_cache test_study test_obs test_dist_exec \
     test_flight_recorder test_slot_series test_window_model
 (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepTrace|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyTrace|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|TraceLog|WindowSmdp')
+    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepCapture|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyCapture|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|WindowSmdp')
 echo "tier-1 OK"

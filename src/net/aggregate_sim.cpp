@@ -48,9 +48,6 @@ AggregateSimulator::AggregateSimulator(
   const ChannelPlan& plan = config_.mac.channel;
   TCW_EXPECTS(plan.channels >= 1);
   TCW_EXPECTS(plan.skew >= 0.0 && plan.skew < 1.0);
-  // Trace records carry no channel field; tracing is a single-channel
-  // debugging surface.
-  TCW_EXPECTS(config_.trace == nullptr || plan.channels == 1);
   if (config_.record_wait_histogram) {
     const double hi = config_.wait_hist_max > 0.0
                           ? config_.wait_hist_max
@@ -185,9 +182,6 @@ void AggregateSimulator::purge_discarded(Lane& lane, std::uint32_t ch) {
           lane.now, obs::FlightEventKind::kExpiry, arrival,
           config_.policy.deadline - (lane.now - arrival), ch);
     }
-    if (config_.trace != nullptr) {
-      config_.trace->record(lane.now, sim::TraceKind::SenderDiscard, arrival);
-    }
   };
   if (config_.reference_kernel) {
     auto it = lane.pending_set.begin();
@@ -309,10 +303,6 @@ void AggregateSimulator::step_lane(Lane& lane, std::uint32_t ch) {
   if (!was_in_process) {
     // A fresh process start (possibly degenerate): element (4) discards
     // happened inside the engine; drop the matching messages.
-    if (config_.trace != nullptr && windowed) {
-      config_.trace->record(lane.now, sim::TraceKind::ProcessStart,
-                            plan.window.lo, plan.window.hi);
-    }
     purge_discarded(lane, ch);
     if (lane.now >= config_.warmup) {
       metrics_.pseudo_backlog.add(engine.backlog_metric(lane.now));
@@ -340,10 +330,6 @@ void AggregateSimulator::step_lane(Lane& lane, std::uint32_t ch) {
     metrics_.usage.add_idle_slot();
     ++lane.tally.idle_slots;
     if (series != nullptr) series->add_idle(lane.now, queued());
-    if (config_.trace != nullptr && windowed) {
-      config_.trace->record(lane.now, sim::TraceKind::ProbeIdle,
-                            plan.window.lo, plan.window.hi);
-    }
     engine.on_feedback(core::Feedback::Idle);
     if (!engine.in_process() && lane.now >= config_.warmup) {
       metrics_.process_slots.add(probes_so_far);  // empty process
@@ -360,13 +346,6 @@ void AggregateSimulator::step_lane(Lane& lane, std::uint32_t ch) {
                      k - wait, ch);
       flight->record(lane.now, obs::FlightEventKind::kSuccess, arrival,
                      k - wait, ch);
-    }
-    if (config_.trace != nullptr) {
-      config_.trace->record(lane.now, sim::TraceKind::Transmission, arrival);
-      if (wait > k) {
-        config_.trace->record(lane.now, sim::TraceKind::LateAtReceiver,
-                              arrival);
-      }
     }
     const bool counted = arrival >= config_.warmup;
     if (counted) {
@@ -421,10 +400,6 @@ void AggregateSimulator::step_lane(Lane& lane, std::uint32_t ch) {
                          k - (lane.now - arrival), ch);
         }
       }
-    }
-    if (config_.trace != nullptr && windowed) {
-      config_.trace->record(lane.now, sim::TraceKind::ProbeCollision,
-                            plan.window.lo, plan.window.hi);
     }
     engine.on_feedback(core::Feedback::Collision);
     lane.now += step_duration(1.0);

@@ -35,7 +35,6 @@
 #include "obs/capture.hpp"
 #include "obs/channel_counters.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 #include "util/flat_deque.hpp"
 #include "util/interval_set.hpp"
 
@@ -54,9 +53,6 @@ struct AggregateConfig {
   double warmup = 10000.0;        // arrivals before this are not counted
   std::uint64_t seed = 1;
   bool record_wait_histogram = false;
-  /// Optional event trace; must outlive the simulator. Not owned.
-  /// Requires a single channel (trace records carry no channel field).
-  sim::TraceLog* trace = nullptr;
   /// Asynchrony-sensitivity knob (paper Section 5, second extension, as a
   /// robustness study -- see DESIGN.md): each probe step consumes an extra
   /// Uniform(0, slot_jitter) slots of channel time, modelling imperfect

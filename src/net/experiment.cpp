@@ -163,20 +163,10 @@ class LossCurveSweep {
                                    job % reps_);
   }
 
-  /// Whether the config's trace request targets this job. Traced jobs are
-  /// never served from (or written to) a shard cache: a cached result
-  /// cannot replay protocol events into the log.
-  bool job_is_traced(std::size_t job) const {
-    const SweepConfig::TraceRequest& tr = config_.trace_request;
-    return tr.log != nullptr && job / reps_ == tr.point &&
-           tr.replication >= 0 &&
-           job % reps_ == static_cast<std::size_t>(tr.replication);
-  }
-
-  /// Whether the config's capture request targets this job. Like traced
-  /// jobs, captured jobs bypass the shard cache (and its gate): a cached
-  /// result cannot replay per-slot events into the flight recorder or
-  /// series, so the job is always executed locally.
+  /// Whether the config's capture request targets this job. Captured
+  /// jobs are never served from (or written to) a shard cache, and bypass
+  /// its gate: a cached result cannot replay per-slot events into the
+  /// flight recorder or series, so the job is always executed locally.
   bool job_is_captured(std::size_t job) const {
     const SweepConfig::CaptureRequest& cr = config_.capture_request;
     return cr.capture.any() && job / reps_ == cr.point &&
@@ -248,10 +238,6 @@ class LossCurveSweep {
     sim_cfg.t_end = config_.t_end;
     sim_cfg.warmup = config_.warmup;
     sim_cfg.seed = job_seed(job);
-    if (job_is_traced(job)) {
-      // only this shard touches the log
-      sim_cfg.trace = config_.trace_request.log;
-    }
     if (job_is_captured(job)) {
       // only this shard feeds the flight recorder / slot series
       sim_cfg.capture = config_.capture_request.capture;
@@ -430,8 +416,7 @@ ScheduledSweep run_sweep(const SweepRequest& request,
   std::vector<double> payload;
   exec::ShardGate* gate = cache != nullptr ? bindings.cache.gate : nullptr;
   for (std::size_t job = 0; job < state->jobs(); ++job) {
-    if (cache != nullptr && !state->job_is_traced(job) &&
-        !state->job_is_captured(job)) {
+    if (cache != nullptr && !state->job_is_captured(job)) {
       const exec::ShardKey key{state->job_seed(job), fp};
       if (cache->lookup(key, &payload) && state->decode_job(job, payload)) {
         state->mark_cached();

@@ -53,22 +53,11 @@ struct SweepConfig {
   /// bit-identical for every value, including 1 (serial). Ignored when the
   /// sweep is enqueued on an external scheduler (the shared pool decides).
   int threads = 0;
-  /// Optional per-job event trace, carried as one value so higher layers
-  /// (e.g. the bench study registry) can pass it around whole. When `log`
-  /// is non-null, exactly the job at K-grid index `point`, replication
-  /// `replication` attaches it to its simulator; every other job runs
-  /// untraced, so one shard can be inspected for debugging without
-  /// serializing the sweep. Attaching a trace never changes the simulated
-  /// results. The log is not owned and must outlive the sweep.
-  struct TraceRequest {
-    sim::TraceLog* log = nullptr;
-    std::size_t point = 0;
-    int replication = 0;
-  };
-  TraceRequest trace_request;
   /// Optional kernel capture (flight-recorder segment + slot series; see
-  /// obs/capture.hpp), attached -- like a trace -- to exactly the job at
-  /// K-grid index `point`, replication `replication`. The captured job
+  /// obs/capture.hpp), attached to exactly the job at K-grid index
+  /// `point`, replication `replication`; every other job runs uncaptured,
+  /// so one shard can be inspected without serializing the sweep. The
+  /// captures are not owned and must outlive the sweep. The captured job
   /// bypasses the shard cache AND its gate (a cached result cannot
   /// replay per-slot events), so it is always executed locally but still
   /// computes bit-identical results: captures are strict overlays.
@@ -186,8 +175,8 @@ struct SweepRequest {
 /// executed; executed jobs append their results to the store as they
 /// complete. Reduction order never changes, so cached/resumed/scheduled
 /// runs are all bit-identical to a cold standalone run -- for any thread
-/// count. A job targeted by the config's trace request is always executed
-/// (a cache hit cannot replay protocol events).
+/// count. A job targeted by the config's capture request is always
+/// executed (a cache hit cannot replay per-slot events).
 struct SweepBindings {
   exec::SweepScheduler* scheduler = nullptr;
   /// Sweep name on the scheduler (required with `scheduler`); also the

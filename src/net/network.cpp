@@ -73,9 +73,6 @@ Network::Network(const NetworkConfig& config)
   const ChannelPlan& plan = config_.mac.channel;
   TCW_EXPECTS(plan.channels >= 1);
   TCW_EXPECTS(plan.skew >= 0.0 && plan.skew < 1.0);
-  // Trace records carry no channel field; tracing is a single-channel
-  // debugging surface.
-  TCW_EXPECTS(config_.trace == nullptr || plan.channels == 1);
   // Lane 0 runs on the raw coin seed (channel_stream_seed is the identity
   // there), so single-channel runs keep their streams; lanes c > 0 get
   // derived, non-aliasing streams. Engines are built in run(), once the
@@ -297,10 +294,6 @@ void Network::purge_expired(Lane& lane, std::uint32_t ch) {
           lane.now, obs::FlightEventKind::kExpiry, msg.arrival,
           config_.policy.deadline - (lane.now - msg.arrival), ch);
     }
-    if (config_.trace != nullptr) {
-      config_.trace->record(lane.now, sim::TraceKind::SenderDiscard,
-                            msg.arrival);
-    }
     return true;
   };
   // Live stamps never drop below the cutoff (stamps only grow from the
@@ -326,7 +319,7 @@ void Network::purge_expired(Lane& lane, std::uint32_t ch) {
     // O(active) sweep: only stations in the active index can hold
     // messages. Visit order differs from station order, but the purge
     // only bumps integer tallies (lost_sender, sender_discards), which
-    // commute; traces are excluded from event-skip mode for this reason.
+    // commute.
     for (std::size_t i = 0; i < lane.active.size();) {
       const std::uint32_t s = lane.active[i];
       auto& queue = lane.queues[s].msgs;
@@ -340,7 +333,7 @@ void Network::purge_expired(Lane& lane, std::uint32_t ch) {
     }
     return;
   }
-  // One stable sweep per station in id (= trace) order, the same order as
+  // One stable sweep per station in id order, the same order as
   // the reference path, so tallies and metrics are bit-identical.
   for (std::uint32_t s = 0; s < station_count; ++s) {
     auto& queue = lane.queues[s].msgs;
@@ -466,13 +459,11 @@ const SimMetrics& Network::run() {
   if (config_.event_skip) {
     // The skip certificates only hold on the schedule-independent batched
     // stream and a single lane (skipping one lane ahead would reorder the
-    // lanes' additions to the shared accumulators), produce no per-slot
-    // trace events, and canonicalize replica state (so a desync injection
-    // must be audited per-slot).
+    // lanes' additions to the shared accumulators), and canonicalize
+    // replica state (so a desync injection must be audited per-slot).
     TCW_EXPECTS(batched_rate_ > 0.0);
     TCW_EXPECTS(lanes_.size() == 1);
     TCW_EXPECTS(!config_.reference_kernel);
-    TCW_EXPECTS(config_.trace == nullptr);
     TCW_EXPECTS(desync_replica_ == SIZE_MAX);
   }
   const std::size_t replicas = controller_replicas();
@@ -524,7 +515,6 @@ void Network::step_lane(Lane& lane, std::uint32_t ch) {
   const bool reference = config_.reference_kernel;
   obs::SlotSeries* const series = config_.capture.series;
   obs::FlightRecorder::Segment* const flight = config_.capture.flight;
-  sim::TraceLog* const trace = config_.trace;
   ProtocolEngine& engine = *lane.engines[0];
   // The series' backlog track samples the engine's backlog estimate: the
   // same quantity the event-skip certificates pin, so per-slot and
@@ -626,10 +616,6 @@ void Network::step_lane(Lane& lane, std::uint32_t ch) {
     metrics_.usage.add_idle_slot();
     ++lane.tally.idle_slots;
     if (series != nullptr) series->add_idle(lane.now, backlog_now());
-    if (trace != nullptr && windowed) {
-      trace->record(lane.now, sim::TraceKind::ProbeIdle, plan.window.lo,
-                    plan.window.hi);
-    }
     apply_feedback(core::Feedback::Idle);
     if (!engine.in_process() && lane.now >= config_.warmup) {
       metrics_.process_slots.add(probes_so_far);
@@ -651,12 +637,6 @@ void Network::step_lane(Lane& lane, std::uint32_t ch) {
                      k - wait, ch);
       flight->record(lane.now, obs::FlightEventKind::kSuccess, msg.arrival,
                      k - wait, ch);
-    }
-    if (trace != nullptr) {
-      trace->record(lane.now, sim::TraceKind::Transmission, msg.arrival);
-      if (wait > k) {
-        trace->record(lane.now, sim::TraceKind::LateAtReceiver, msg.arrival);
-      }
     }
     if (msg.arrival >= config_.warmup) {
       metrics_.wait_all.add(wait);
@@ -741,10 +721,6 @@ void Network::step_lane(Lane& lane, std::uint32_t ch) {
                          k - (lane.now - arrival), ch);
         }
       }
-    }
-    if (trace != nullptr && windowed) {
-      trace->record(lane.now, sim::TraceKind::ProbeCollision, plan.window.lo,
-                    plan.window.hi);
     }
     apply_feedback(core::Feedback::Collision);
     lane.now += 1.0;

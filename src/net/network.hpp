@@ -34,7 +34,6 @@
 #include "obs/capture.hpp"
 #include "obs/channel_counters.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 #include "util/interval_set.hpp"
 
 namespace tcw::net {
@@ -47,8 +46,7 @@ struct NetworkConfig {
   /// net/channel_plan.hpp for the catalogs. Every channel is a lane with
   /// its own engine replicas, clock and queues; messages are routed to a
   /// lane at arrival time and lanes step in argmin-clock order. Runs with
-  /// more than one channel exclude event_skip, traces, and the desync
-  /// test hook.
+  /// more than one channel exclude event_skip and the desync test hook.
   PolicyConfig mac;
   double message_length = 25.0;
   double success_overhead = 1.0;
@@ -81,15 +79,13 @@ struct NetworkConfig {
   /// arrival-or-end event instead of iterating the empty slots. Requires
   /// the batched arrival stream (homogeneous_poisson_batched) -- the
   /// per-station lazy draws interleave on the shared rng_ in
-  /// schedule-dependent order -- a single channel, and no trace /
-  /// reference kernel / desync injection. (With several channels, skipping
+  /// schedule-dependent order -- a single channel, and no reference
+  /// kernel / desync injection. (With several channels, skipping
   /// one lane ahead would reorder its additions to the shared Welford
   /// accumulators against the other lanes' slots.) Metrics are
   /// bit-identical to the per-slot fast path on the same batched stream
   /// (kernel_bench --verify and tests/test_event_skip prove it).
   bool event_skip = false;
-  /// Optional event trace; must outlive the network. Not owned.
-  sim::TraceLog* trace = nullptr;
   /// Optional flight-recorder segment / slot-series hooks (strict
   /// overlays: never touch RNG state or results; the event-skip stepper
   /// synthesizes bit-identical series samples for skipped stretches).

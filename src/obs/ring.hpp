@@ -1,12 +1,12 @@
-// Fixed-capacity overwrite-oldest ring buffer shared by the bounded
-// capture surfaces (sim::TraceLog, obs::FlightRecorder segments). Keeps
-// the last `capacity` pushed values; older values are dropped, counted,
-// and reported via dropped(). snapshot() returns oldest-first.
+// Fixed-capacity overwrite-oldest ring buffer backing each
+// obs::FlightRecorder segment. Keeps the last `capacity` pushed values;
+// older values are dropped, counted, and reported via dropped().
+// snapshot() returns oldest-first.
 //
 // Header-only and dependency-free (obs is a leaf library): capacity 0 is
 // clamped to 1 instead of asserting, so a misconfigured capture degrades
 // to "keep the last event" rather than UB -- the tiny-capacity
-// wraparound behaviour is pinned by a shared regression test.
+// wraparound behaviour is pinned by the BoundedRing regression tests.
 #pragma once
 
 #include <cstddef>

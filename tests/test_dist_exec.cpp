@@ -100,19 +100,38 @@ TEST(DistLease, StaleLeaseReclaim) {
 }
 
 TEST(DistLease, HeartbeatKeepsLeaseFresh) {
+  // Staleness is staged by backdating the lease mtime two minutes, far
+  // past the peer's 60 s window, so no assertion depends on how promptly
+  // the heartbeat thread gets scheduled.
   const std::string dir = scratch_dir("lease_beat");
   const exec::ShardKey key{7u, 8u};
   exec::LeaseManager a({dir, "worker-a", 60.0, 0.05});
   EXPECT_TRUE(a.try_claim(key));
+  const std::string path = a.lease_path(key);
+  const auto backdate = [&path] {
+    fs::last_write_time(path, fs::file_time_type::clock::now() -
+                                  std::chrono::seconds(120));
+    return fs::last_write_time(path);
+  };
+  const fs::file_time_type stale_mtime = backdate();
   a.start_heartbeat();
-  sleep_seconds(0.4);
-  // The shard is taking long, but heartbeats keep refreshing the mtime:
-  // a peer that treats 0.3s as stale must NOT reclaim it.
-  exec::LeaseManager b({dir, "worker-b", 0.3, 0.0});
+  // The shard is taking long, but heartbeats keep refreshing the mtime.
+  // Poll with a generous deadline so a starved heartbeat thread (loaded
+  // host, sanitizer build) only slows the test down.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fs::last_write_time(path) <= stale_mtime &&
+         std::chrono::steady_clock::now() < deadline) {
+    sleep_seconds(0.01);
+  }
+  ASSERT_GT(fs::last_write_time(path), stale_mtime)
+      << "heartbeat never refreshed the lease";
+  // A peer that treats 60 s as stale must NOT reclaim the refreshed lease.
+  exec::LeaseManager b({dir, "worker-b", 60.0, 0.0});
   EXPECT_FALSE(b.try_claim(key));
   EXPECT_EQ(b.reclaimed(), 0u);
   a.stop_heartbeat();
-  sleep_seconds(0.4);  // now it really goes stale
+  backdate();  // without heartbeats it really goes stale
   EXPECT_TRUE(b.try_claim(key));
   EXPECT_EQ(b.reclaimed(), 1u);
   a.abandon_for_test();  // b owns the lease file now; a must not unlink it

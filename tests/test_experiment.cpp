@@ -26,8 +26,7 @@ net::SweepConfig quick_config() {
   return cfg;
 }
 
-// Every sweep in this file drives the single entry point; the shim
-// compatibility test below is the one deliberate exception.
+// Every sweep in this file drives the single entry point.
 std::vector<net::SweepPoint> sweep(const net::SweepConfig& cfg,
                                    net::ProtocolVariant v,
                                    const std::vector<double>& grid) {

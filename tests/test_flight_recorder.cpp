@@ -1,18 +1,22 @@
 // The packet flight recorder: pure-hash sampling determinism (zero RNG
 // draws, reproducible across segments, recorders, and thread counts),
-// bounded-ring event retention, and JSON export -- plus the shared
-// BoundedRing tiny-capacity wraparound regression that also pins
-// sim::TraceLog (both capture surfaces ride the same ring).
+// bounded-ring event retention, JSON export, and full-rate captures of
+// both window-engine kernels whose event counts match the kernels' own
+// slot accounting -- plus the BoundedRing tiny-capacity wraparound
+// regression (the ring backs every flight-recorder segment).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chan/arrivals.hpp"
+#include "net/aggregate_sim.hpp"
+#include "net/network.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/ring.hpp"
-#include "sim/trace.hpp"
 
 namespace tcw {
 namespace {
@@ -77,25 +81,6 @@ TEST(BoundedRing, ClearResetsButKeepsCapacity) {
   EXPECT_EQ(ring.dropped(), 0u);
   ring.push(9);
   EXPECT_EQ(ring.snapshot(), (std::vector<int>{9}));
-}
-
-TEST(TraceLog, TinyCapacityKeepsLatestRecords) {
-  // sim::TraceLog rides the same BoundedRing: a capacity-2 log holding
-  // the last two of five records, oldest first, with the drops counted.
-  sim::TraceLog log(2);
-  for (int i = 0; i < 5; ++i) {
-    log.record(static_cast<double>(i), sim::TraceKind::ProbeIdle,
-               static_cast<double>(i), static_cast<double>(i) + 1.0);
-  }
-  const std::vector<sim::TraceRecord> records = log.snapshot();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_DOUBLE_EQ(records[0].time, 3.0);
-  EXPECT_DOUBLE_EQ(records[1].time, 4.0);
-  EXPECT_EQ(log.dropped(), 3u);
-  EXPECT_EQ(log.count(sim::TraceKind::ProbeIdle), 5u);
-  log.clear();
-  EXPECT_EQ(log.snapshot().size(), 0u);
-  EXPECT_EQ(log.count(sim::TraceKind::ProbeIdle), 0u);
 }
 
 // ---------------------------------------------------- FlightRecorder
@@ -205,6 +190,63 @@ TEST(FlightRecorder, JsonExportIsTagSortedAndWellFormed) {
   ASSERT_NE(zeta, std::string::npos);
   EXPECT_LT(alpha, zeta);  // tag-sorted, deterministic export
   EXPECT_NE(json.find("\"expiry\""), std::string::npos);
+}
+
+// A full-rate capture of a window-engine run: one kSuccess per carried
+// message, one kCollision per collided window slot (the window probe
+// tracks one colliding packet), every counted sender discard among the
+// kExpiry events, and the retained events in time order. A kArrival
+// event is stamped with the arrival instant; with per-station arrival
+// streams the stations are drained one after another, so those stamps
+// are only ordered when `arrivals_ordered`.
+void expect_capture_matches_usage(const FlightRecorder::Segment& seg,
+                                  const net::SimMetrics& m,
+                                  bool arrivals_ordered) {
+  EXPECT_EQ(seg.count(FlightEventKind::kSuccess), m.usage.messages_carried());
+  EXPECT_EQ(seg.count(FlightEventKind::kCollision),
+            static_cast<std::uint64_t>(m.usage.collision_slots()));
+  EXPECT_GE(seg.count(FlightEventKind::kExpiry), m.lost_sender);
+  EXPECT_GT(m.usage.collision_slots(), 0.0);
+  EXPECT_GT(m.lost_sender, 0u);
+  EXPECT_EQ(seg.dropped(), 0u);
+  const std::vector<FlightEvent> events = seg.events();
+  ASSERT_FALSE(events.empty());
+  double last = 0.0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!arrivals_ordered && events[i].kind == FlightEventKind::kArrival) {
+      continue;
+    }
+    EXPECT_GE(events[i].time, last) << "event " << i;
+    last = events[i].time;
+  }
+}
+
+TEST(FlightRecorder, AggregateWindowCaptureCountsMatchUsage) {
+  FlightRecorder rec({20261983u, 1.0, 1u << 18});
+  FlightRecorder::Segment* seg = rec.segment("aggregate");
+  net::AggregateConfig cfg;
+  cfg.policy = core::ControlPolicy::optimal(50.0, 54.0);
+  cfg.message_length = 25.0;
+  cfg.t_end = 20000.0;
+  cfg.warmup = 1000.0;
+  cfg.capture.flight = seg;
+  net::AggregateSimulator sim(cfg,
+                              std::make_unique<chan::PoissonProcess>(0.025));
+  expect_capture_matches_usage(*seg, sim.run(), /*arrivals_ordered=*/true);
+}
+
+TEST(FlightRecorder, NetworkWindowCaptureCountsMatchUsage) {
+  FlightRecorder rec({20261983u, 1.0, 1u << 18});
+  FlightRecorder::Segment* seg = rec.segment("network");
+  net::NetworkConfig cfg;
+  cfg.policy = core::ControlPolicy::optimal(60.0, 50.0);
+  cfg.message_length = 25.0;
+  cfg.t_end = 10000.0;
+  cfg.warmup = 500.0;
+  cfg.capture.flight = seg;
+  auto network = net::Network::homogeneous_poisson(cfg, 4, 0.02);
+  expect_capture_matches_usage(*seg, network.run(),
+                               /*arrivals_ordered=*/false);
 }
 
 }  // namespace

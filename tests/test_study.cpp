@@ -14,7 +14,6 @@
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
 #include "net/experiment.hpp"
-#include "sim/trace.hpp"
 #include "study.hpp"
 
 namespace {
@@ -295,11 +294,12 @@ TEST(StudyRunner, SuiteCsvMatchesStandaloneCsv) {
             slurp(dir + "/ablation_window_size.csv"));
 }
 
-TEST(StudyTrace, TraceRequestAttachesToTheNamedSweep) {
-  // A StudyCommonOptions trace request rides into the named sweep as one
-  // SweepConfig::TraceRequest value; a cache must not swallow the traced
-  // shard (traced jobs always execute).
-  const std::string dir = ::testing::TempDir() + "/tcw_study_trace";
+TEST(StudyCapture, ResumedStudyStillExecutesTheCapturedShard) {
+  // --flight-out attaches a capture to every sweep's (point 0,
+  // replication 0) job as a SweepConfig::CaptureRequest; a fully warm
+  // shard store must not swallow the captured shard (captured jobs
+  // always execute), and the resumed CSV stays byte-identical.
+  const std::string dir = ::testing::TempDir() + "/tcw_study_capture";
   std::filesystem::remove_all(dir);
   const std::vector<std::string> shrink{"--t-end=3000", "--reps=1"};
 
@@ -308,16 +308,23 @@ TEST(StudyTrace, TraceRequestAttachesToTheNamedSweep) {
   warm.csv = dir + "/warm.csv";
   ASSERT_EQ(bench::run_study("ablation_window_size", warm, shrink), 0);
 
-  tcw::sim::TraceLog log;
-  bench::StudyCommonOptions traced = warm;
-  traced.resume = true;
-  traced.csv = dir + "/traced.csv";
-  traced.trace = {&log, 0, 0};
-  traced.trace_sweep = "width1.000";
-  ASSERT_EQ(bench::run_study("ablation_window_size", traced, shrink), 0);
+  bench::StudyCommonOptions captured = warm;
+  captured.resume = true;
+  captured.csv = dir + "/captured.csv";
+  captured.obs.flight_out = dir + "/flight.json";
+  ASSERT_EQ(bench::run_study("ablation_window_size", captured, shrink), 0);
 
-  EXPECT_GT(log.total_recorded(), 0u);
-  EXPECT_EQ(slurp(warm.csv), slurp(traced.csv));
+  // Some segment recorded events: a `"recorded":N` entry with N > 0.
+  const std::string report = slurp(captured.obs.flight_out);
+  const std::string key = "\"recorded\":";
+  bool any_recorded = false;
+  for (std::size_t at = report.find(key); at != std::string::npos;
+       at = report.find(key, at + key.size())) {
+    const char first = report[at + key.size()];
+    if (first >= '1' && first <= '9') any_recorded = true;
+  }
+  EXPECT_TRUE(any_recorded) << report.substr(0, 400);
+  EXPECT_EQ(slurp(warm.csv), slurp(captured.csv));
 }
 
 }  // namespace
