@@ -12,7 +12,8 @@
 //                report the speedup (the pre-PR numbers in EXPERIMENTS.md)
 //   --verify     bit-compare fast vs reference per cell, and fast vs
 //                event-skip on the batched arrival stream for all three
-//                MAC engines; nonzero exit on any mismatch (tier-1 smoke)
+//                MAC engines, at C = 1 and (every selector) C = 2;
+//                nonzero exit on any mismatch (tier-1 smoke)
 //   --reference  bench the reference kernel only
 //
 // Build with an optimized CMAKE_BUILD_TYPE (Release / RelWithDebInfo, the
@@ -131,6 +132,7 @@ CellResult run_aggregate(const Options& opt, const AggCell& cell,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   r.probe_steps = sim.probe_steps();
+  r.skipped_slots = sim.skipped_slots();
   r.tallies = sim.channel_tallies();
   return r;
 }
@@ -178,20 +180,22 @@ CellResult run_network(const Options& opt, const NetCell& cell,
 }
 
 // Batched-arrival network run (homogeneous_poisson_batched): same cell
-// grid, any MAC engine, optionally stepping through the event-skip path.
+// grid, any MAC policy, optionally stepping through the event-skip path.
 // fast(batched) and event-skip(batched) consume the identical arrival
 // realization, which is what makes them bit-comparable; both differ from
 // run_network's per-station streams at the same seed.
 CellResult run_network_batched(const Options& opt, const NetCell& cell,
-                               tcw::net::EngineKind kind, bool event_skip,
+                               const tcw::net::PolicyConfig& mac,
+                               bool event_skip,
                                const tcw::obs::KernelCapture& capture = {}) {
   tcw::net::NetworkConfig cfg;
   const double lambda = cell.rho / opt.message_length;
   const double k = cell.k_over_m * opt.message_length;
   cfg.policy = tcw::core::ControlPolicy::optimal(
       k, tcw::analysis::optimal_window_load() / lambda);
-  cfg.mac.engine.kind = kind;
-  if (kind == tcw::net::EngineKind::DynamicAloha) {
+  cfg.mac = mac;
+  if (cfg.mac.engine.kind == tcw::net::EngineKind::DynamicAloha &&
+      cfg.mac.engine.arrival_rate <= 0.0) {
     cfg.mac.engine.arrival_rate = lambda;
   }
   cfg.message_length = opt.message_length;
@@ -216,7 +220,7 @@ CellResult run_network_batched(const Options& opt, const NetCell& cell,
   if (!net.stations_consistent()) {
     std::fprintf(stderr,
                  "kernel_bench: consistency violation (N=%zu, %s)\n",
-                 cell.stations, to_string(kind).c_str());
+                 cell.stations, to_string(mac.engine.kind).c_str());
     std::exit(2);
   }
   return r;
@@ -348,6 +352,8 @@ int main(int argc, char** argv) {
                                           tcw::net::EngineKind::SlottedAloha,
                                           tcw::net::EngineKind::DynamicAloha};
     for (const auto kind : kinds) {
+      tcw::net::PolicyConfig mac;
+      mac.engine.kind = kind;
       for (const NetCell& cell : net_cells) {
         // The per-slot and event-skip steppers carry their own series;
         // event-skip synthesizes closed-form idle samples for jumped
@@ -355,9 +361,9 @@ int main(int argc, char** argv) {
         tcw::obs::SlotSeries fast_series;
         tcw::obs::SlotSeries skip_series;
         const CellResult fast = run_network_batched(
-            opt, cell, kind, false, verify_capture(&fast_series));
+            opt, cell, mac, false, verify_capture(&fast_series));
         const CellResult skip = run_network_batched(
-            opt, cell, kind, true, verify_capture(&skip_series));
+            opt, cell, mac, true, verify_capture(&skip_series));
         const std::string f = fingerprint(fast.metrics);
         const std::string s = fingerprint(skip.metrics);
         if (fast_series.to_csv_rows("x") != skip_series.to_csv_rows("x")) {
@@ -384,9 +390,10 @@ int main(int argc, char** argv) {
       }
     }
     // Multi-channel conformance: C = 2 under every {selector, engine}
-    // pair, fast vs reference on both kernels. Selectors route at
-    // arrival time only, so the reference steppers exercise the exact
-    // same routing sequence as the fast kernels.
+    // pair, fast vs reference on both kernels and per-slot vs event-skip
+    // on the batched stream. Selectors route at arrival time only, so
+    // the reference steppers exercise the exact same routing sequence as
+    // the fast kernels.
     const tcw::net::ChannelSelectorKind selectors[] = {
         tcw::net::ChannelSelectorKind::HashShard,
         tcw::net::ChannelSelectorKind::UniformRandom,
@@ -423,6 +430,19 @@ int main(int argc, char** argv) {
                        " fast: %s\n  ref: %s\n",
                        to_string(kind).c_str(), to_string(selector).c_str(),
                        nfast.c_str(), nref.c_str());
+          return 1;
+        }
+        ++cells;
+        const CellResult bfast = run_network_batched(opt, mc_net, mac, false);
+        const CellResult bskip = run_network_batched(opt, mc_net, mac, true);
+        const std::string sfast = fingerprint(bfast.metrics);
+        const std::string sskip = fingerprint(bskip.metrics);
+        if (sfast != sskip || bfast.probe_steps != bskip.probe_steps) {
+          std::fprintf(stderr,
+                       "VERIFY FAILED multichannel event-skip %s/%s C=2\n"
+                       " fast: %s\n skip: %s\n",
+                       to_string(kind).c_str(), to_string(selector).c_str(),
+                       sfast.c_str(), sskip.c_str());
           return 1;
         }
         ++cells;
@@ -495,6 +515,17 @@ int main(int argc, char** argv) {
               "==\n\n",
               opt.t_end, opt.warmup, opt.message_length, opt.shadows);
 
+  // Slots covered by quiescence certificates rather than stepped, as a
+  // share of the run (single-channel cells).
+  const auto skip_extra = [&](const CellResult& r) {
+    char extra[96];
+    std::snprintf(extra, sizeof extra,
+                  ",\"skipped_slots\":%llu,\"skip_fraction\":%.4f",
+                  static_cast<unsigned long long>(r.skipped_slots),
+                  static_cast<double>(r.skipped_slots) / opt.t_end);
+    return std::string(extra);
+  };
+
   for (const AggCell& cell : agg_cells) {
     CellResult fast{};
     CellResult ref{};
@@ -502,12 +533,14 @@ int main(int argc, char** argv) {
       fast = run_aggregate(opt, cell, false, {},
                            cell_capture("aggregate", 0, cell.rho,
                                         cell.k_over_m));
-      emit("aggregate", 0, cell.rho, cell.k_over_m, "fast", fast);
+      emit("aggregate", 0, cell.rho, cell.k_over_m, "fast", fast,
+           skip_extra(fast));
       emit_attribution("aggregate", 0, cell.rho, cell.k_over_m, fast);
     }
     if (opt.reference || opt.baseline) {
       ref = run_aggregate(opt, cell, true);
-      emit("aggregate", 0, cell.rho, cell.k_over_m, "reference", ref);
+      emit("aggregate", 0, cell.rho, cell.k_over_m, "reference", ref,
+           skip_extra(ref));
     }
     if (opt.baseline && ref.wall_seconds > 0.0 && fast.wall_seconds > 0.0) {
       std::printf("  -> aggregate rho=%.2f K/M=%.1f speedup %.2fx\n",
@@ -547,16 +580,11 @@ int main(int argc, char** argv) {
         {10000, 0.50, 3.0}, {100000, 0.50, 3.0}, {1000000, 0.50, 3.0}};
     for (const NetCell& cell : large_cells) {
       const CellResult r = run_network_batched(
-          opt, cell, tcw::net::EngineKind::Window, true,
+          opt, cell, {}, true,
           cell_capture("event-skip", cell.stations, cell.rho,
                        cell.k_over_m));
-      char extra[96];
-      std::snprintf(extra, sizeof extra,
-                    ",\"skipped_slots\":%llu,\"skip_fraction\":%.4f",
-                    static_cast<unsigned long long>(r.skipped_slots),
-                    static_cast<double>(r.skipped_slots) / opt.t_end);
       emit("network", cell.stations, cell.rho, cell.k_over_m, "event-skip",
-           r, extra);
+           r, skip_extra(r));
       emit_attribution("event-skip", cell.stations, cell.rho, cell.k_over_m,
                        r);
     }

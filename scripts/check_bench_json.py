@@ -24,8 +24,9 @@ object, and must carry the required keys for its record shape. Shapes:
                       "jobs_per_sec"}
   kernel_bench cell  {"bench", "sim", "stations", "rho", "k_over_m",
                       "kernel", "wall_seconds", "slots_per_sec",
-                      "probes_per_sec"}; kernel == "event-skip" rows also
-                      carry {"skipped_slots", "skip_fraction"} and
+                      "probes_per_sec"}; kernel == "event-skip" and
+                      sim == "aggregate" rows also carry
+                      {"skipped_slots", "skip_fraction"} and
                       sim == "fluid" rows {"events_per_sec", "p_loss"}
   policy-grid cell   {"study", "engine", "rho", "k", "p_loss",
                       "timely_ratio"}
@@ -108,7 +109,8 @@ def classify(record):
         missing = {"sim", "stations", "rho", "k_over_m", "kernel",
                    "wall_seconds", "slots_per_sec",
                    "probes_per_sec"} - record.keys()
-        if record.get("kernel") == "event-skip":
+        if (record.get("kernel") == "event-skip"
+                or record.get("sim") == "aggregate"):
             missing |= {"skipped_slots", "skip_fraction"} - record.keys()
         if record.get("sim") == "fluid":
             missing |= {"events_per_sec", "p_loss"} - record.keys()

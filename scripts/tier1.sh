@@ -84,18 +84,19 @@ echo "== tier-1: finite-station network tests under ASan+UBSan =="
 cmake -B build-asan -S . -DTCW_SANITIZE=address,undefined \
     -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all >/dev/null
 cmake --build build-asan -j --target test_network test_multichannel \
-    test_event_skip test_kernel_fastpath test_seed_streams \
-    test_flight_recorder test_slot_series test_experiment
+    test_event_skip test_aggregate_skip test_kernel_fastpath \
+    test_seed_streams test_flight_recorder test_slot_series test_experiment
 (cd build-asan && ctest --output-on-failure \
-    -R '^(Network|NetworkKernel|AggregateKernel|KernelWarmupEdge|MultiChannel|EventSkip|SeedStreams|BoundedRing|FlightRecorder|SlotSeries|LinearGrid|PolicyFor|Sweep|SweepConfig|ToString)\.')
+    -R '^(Network|NetworkKernel|AggregateKernel|AggregateSkip|KernelWarmupEdge|MultiChannel|EventSkip|SeedStreams|BoundedRing|FlightRecorder|SlotSeries|LinearGrid|PolicyFor|Sweep|SweepConfig|ToString)\.')
 
 echo "== tier-1: concurrency + kernel tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DTCW_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target test_thread_pool \
     test_sweep_determinism test_sweep_scheduler test_flat_deque \
-    test_kernel_fastpath test_event_skip test_protocol_engines \
-    test_multichannel test_shard_cache test_study test_obs test_dist_exec \
-    test_flight_recorder test_slot_series test_window_model
+    test_kernel_fastpath test_event_skip test_aggregate_skip \
+    test_protocol_engines test_multichannel test_shard_cache test_study \
+    test_obs test_dist_exec test_flight_recorder test_slot_series \
+    test_window_model
 (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepCapture|FlatDeque|NetworkKernel|AggregateKernel|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyCapture|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|WindowSmdp')
+    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepCapture|FlatDeque|NetworkKernel|AggregateKernel|AggregateSkip|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyCapture|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|WindowSmdp')
 echo "tier-1 OK"

@@ -14,6 +14,7 @@ struct AggregateCounters {
   obs::Counter runs;
   obs::Counter probe_slots;
   obs::Counter idle_slots;
+  obs::Counter skipped_slots;
   obs::Counter collisions;
   obs::Counter successes;
   obs::Counter sender_discards;
@@ -26,6 +27,7 @@ AggregateCounters& aggregate_counters() {
       obs::Registry::global().counter("net.aggregate.runs"),
       obs::Registry::global().counter("net.aggregate.probe_slots"),
       obs::Registry::global().counter("net.aggregate.idle_slots"),
+      obs::Registry::global().counter("net.aggregate.skipped_slots"),
       obs::Registry::global().counter("net.aggregate.collisions"),
       obs::Registry::global().counter("net.aggregate.successes"),
       obs::Registry::global().counter("net.aggregate.sender_discards"),
@@ -93,7 +95,7 @@ std::uint32_t AggregateSimulator::route_arrival(double arrival) {
 }
 
 void AggregateSimulator::generate_arrivals_until(double t) {
-  while (!arrivals_exhausted_ && next_arrival_ <= t) {
+  while (next_arrival_ <= t) {
     const std::uint32_t ch =
         lanes_.size() == 1 ? 0 : route_arrival(next_arrival_);
     Lane& lane = lanes_[ch];
@@ -277,12 +279,45 @@ const SimMetrics& AggregateSimulator::run() {
     for (std::size_t c = 1; c < lanes_.size(); ++c) {
       if (lanes_[c].now < lanes_[li].now) li = c;
     }
-    if (lanes_[li].now >= config_.t_end) break;
-    step_lane(lanes_[li], static_cast<std::uint32_t>(li));
+    Lane& lane = lanes_[li];
+    if (lane.now >= config_.t_end) break;
+    if (lane.quiet.active() || start_quiescent(lane)) {
+      replay_quiescent_slots(lane, li);
+    } else {
+      step_lane(lane, static_cast<std::uint32_t>(li));
+    }
   }
   finalize();
   finished_ = true;
   return metrics_;
+}
+
+bool AggregateSimulator::start_quiescent(Lane& lane) {
+  // An unrouted arrival at or below the clock leaves no budget (the
+  // horizon is then <= now), so arrivals need not be generated first.
+  if (config_.reference_kernel || config_.slot_jitter > 0.0) return false;
+  if (!lane.pending.empty() || lane.engine->in_process()) return false;
+  const std::uint64_t budget = quiescent_budget(
+      lane.now, std::min(next_arrival_, config_.t_end));
+  if (budget == 0) return false;
+  const QuiescentStretch stretch =
+      lane.engine->quiescent_until(lane.now, budget);
+  if (stretch.slots == 0) return false;
+  lane.quiet.start(stretch);
+  return true;
+}
+
+void AggregateSimulator::replay_quiescent_slots(Lane& lane, std::size_t li) {
+  // The per-slot path feeds the series the lane's queue depth: zero here.
+  skipped_slots_ += replay_quiescent(
+      lane.quiet, lane.now, argmin_turn(lanes_, li), config_.warmup,
+      metrics_, lane.tally, config_.capture.series, 0.0, [] {});
+  if (lane.quiet.active()) return;
+  // Per-slot stepping would have left the engine as skip_quiescent does,
+  // and pruned the collided spans below the last slot's discard floor.
+  const double last = lane.now - 1.0;
+  lane.engine->skip_quiescent(last, lane.quiet.slots);
+  lane.collided_spans.erase_below(lane.engine->discard_floor(last));
 }
 
 void AggregateSimulator::step_lane(Lane& lane, std::uint32_t ch) {
@@ -444,6 +479,7 @@ void AggregateSimulator::finalize() {
   counters.runs.add(1);
   counters.probe_slots.add(total.probe_slots);
   counters.idle_slots.add(total.idle_slots);
+  counters.skipped_slots.add(skipped_slots_);
   counters.collisions.add(total.collisions);
   counters.successes.add(total.successes);
   counters.sender_discards.add(total.sender_discards);

@@ -20,6 +20,14 @@
 // lane machinery degenerates to exactly the pre-multichannel loop: no
 // selector is consulted, lane-0 seeds are the raw seeds, and runs are
 // bit-identical to the single-channel kernel.
+//
+// Certified quiescent slots (an empty lane whose engine proves the next
+// slots all probe, read Idle and end their one-probe process; see
+// net/quiescent_replay.hpp) are replayed instead of stepped, for every
+// channel count: only each slot's metric contributions are applied, in
+// the same argmin lane order, so results are bit-identical to per-slot
+// stepping. The reference kernel, slot jitter and fractional clocks step
+// every slot.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +40,7 @@
 #include "net/channel_plan.hpp"
 #include "net/metrics.hpp"
 #include "net/protocol_engine.hpp"
+#include "net/quiescent_replay.hpp"
 #include "obs/capture.hpp"
 #include "obs/channel_counters.hpp"
 #include "sim/rng.hpp"
@@ -95,6 +104,9 @@ class AggregateSimulator {
   std::uint64_t probe_steps() const;
   /// Per-channel slot-outcome tallies, valid after run().
   std::vector<obs::ChannelTally> channel_tallies() const;
+  /// Slots replayed from quiescence certificates rather than stepped,
+  /// summed over channels (they still count as probe and idle slots).
+  std::uint64_t skipped_slots() const { return skipped_slots_; }
 
  private:
   /// One channel: its engine instance, its pending-arrival structures,
@@ -118,6 +130,8 @@ class AggregateSimulator {
     double now = 0.0;
     double last_tx_end = 0.0;
     obs::ChannelTally tally;
+    // The certified quiescent stretch being replayed, if any.
+    QuiescentRun quiet;
     // Deadline-loss attribution state (always on -- the classification is
     // pure observation and feeds the cached sweep payloads): arrival-time
     // spans of every window probe that collided. A discard whose arrival
@@ -133,6 +147,12 @@ class AggregateSimulator {
   void generate_arrivals_until(double t);
   std::uint32_t route_arrival(double arrival);
   void step_lane(Lane& lane, std::uint32_t ch);
+  /// Certify a quiescent stretch for an empty lane at a process boundary;
+  /// false when the lane must step per-slot.
+  bool start_quiescent(Lane& lane);
+  /// Replay the lane's stretch while it keeps the argmin turn, and
+  /// fast-forward its engine once the stretch is used up.
+  void replay_quiescent_slots(Lane& lane, std::size_t li);
   void purge_discarded(Lane& lane, std::uint32_t ch);
   void finalize();
   /// Base slot(s) plus the configured synchronization jitter, if any.
@@ -162,7 +182,7 @@ class AggregateSimulator {
   std::vector<double> lane_busy_scratch_;
   std::vector<std::uint64_t> lane_load_scratch_;
   double next_arrival_ = 0.0;
-  bool arrivals_exhausted_ = false;
+  std::uint64_t skipped_slots_ = 0;
   SimMetrics metrics_;
   bool finished_ = false;
 };

@@ -49,7 +49,7 @@ NetworkCounters& network_counters() {
 }
 
 // Index of the message with the oldest stamp inside [lo, hi); -1 if none.
-std::ptrdiff_t eligible_index(const std::deque<chan::Message>& q, double lo,
+std::ptrdiff_t eligible_index(const std::vector<chan::Message>& q, double lo,
                               double hi) {
   for (std::size_t i = 0; i < q.size(); ++i) {
     const double stamp = q[i].window_stamp;
@@ -301,7 +301,7 @@ void Network::purge_expired(Lane& lane, std::uint32_t ch) {
   lane.collided_spans.erase_below(cutoff);
   const auto station_count = static_cast<std::uint32_t>(lane.queues.size());
   if (config_.reference_kernel) {
-    // Seed-era path: per-element deque erase, quadratic in the purged run.
+    // Seed-era path: per-element erase, quadratic in the purged run.
     for (std::uint32_t s = 0; s < station_count; ++s) {
       auto& queue = lane.queues[s].msgs;
       for (auto it = queue.begin(); it != queue.end();) {
@@ -393,64 +393,48 @@ void Network::check_consistency(Lane& lane) {
   }
 }
 
-bool Network::try_skip_quiescent(Lane& lane) {
-  // Certificates need exact +1 slot arithmetic; a fractional clock (odd
-  // message lengths) falls back to per-slot stepping.
-  if (lane.now != std::floor(lane.now)) return false;
-  // Slot t is arrival-free iff t < next_arrival, and simulated iff
-  // t < t_end; the skippable span is every slot before the earlier one.
-  const double horizon = std::min(next_batched_arrival(), config_.t_end);
-  if (horizon <= lane.now) return false;
-  const auto max_slots = static_cast<std::uint64_t>(
-      std::ceil(std::min(horizon - lane.now, 1e15)));
-  if (max_slots == 0) return false;
+bool Network::start_quiescent(Lane& lane) {
+  // Nothing to route or transmit on this lane. An arrival at or below the
+  // clock that is not yet generated leaves no budget (the horizon is then
+  // <= now), so arrivals need not be generated first.
+  if (!lane.active.empty() || !lane.consistent) return false;
+  const std::uint64_t budget = quiescent_budget(
+      lane.now, std::min(next_batched_arrival(), config_.t_end));
+  if (budget == 0) return false;
   const QuiescentStretch stretch =
-      lane.engines[0]->quiescent_until(lane.now, max_slots);
+      lane.engines[0]->quiescent_until(lane.now, budget);
   if (stretch.slots == 0) return false;
   // Every replica must issue the identical certificate; otherwise step
   // per-slot, where the audit machinery judges divergence for real.
   for (std::size_t i = 1; i < lane.engines.size(); ++i) {
-    if (!(lane.engines[i]->quiescent_until(lane.now, max_slots) == stretch)) {
+    if (!(lane.engines[i]->quiescent_until(lane.now, budget) == stretch)) {
       return false;
     }
   }
-  // A captured series sees the stretch as its closed-form synthesis:
-  // add_idle_run is bit-identical to the per-slot path's stretch.slots
-  // consecutive add_idle calls at the certified constant backlog (the
-  // per-slot path samples backlog_metric, which the certificate pins to
-  // stretch.backlog on every skipped slot).
-  if (config_.capture.series != nullptr) {
-    config_.capture.series->add_idle_run(lane.now, stretch.slots,
-                                         stretch.backlog);
-  }
-  // Replay the per-slot metric pattern of the stretch exactly: the
-  // accumulators are Welford streams, so each slot's contribution is
-  // applied in sequence (no closed form is bit-identical). This loop is a
-  // few flops per slot with no station, engine, or RNG work -- the whole
-  // point of the certificate.
-  double t = lane.now;
-  for (std::uint64_t i = 0; i < stretch.slots; ++i, t += 1.0) {
-    ++lane.tally.probe_slots;
-    ++lane.tally.idle_slots;
-    metrics_.usage.add_idle_slot();
-    if (t >= config_.warmup) {
-      metrics_.pseudo_backlog.add(stretch.backlog);
-      metrics_.process_slots.add(1.0);
-    }
-    if (config_.consistency_check_every != 0 &&
-        lane.tally.probe_slots % config_.consistency_check_every == 0) {
-      // Replicas are untouched during the replay, and honest replicas are
-      // bit-identical at every step, so comparing the pre-skip states at
-      // the due cadence reproduces the per-slot path's verdict and count.
-      check_consistency(lane);
-    }
-  }
-  for (auto& engine : lane.engines) {
-    engine->skip_quiescent(t - 1.0, stretch.slots);
-  }
-  skipped_slots_ += stretch.slots;
-  lane.now = t;
+  lane.quiet.start(stretch);
   return true;
+}
+
+void Network::replay_quiescent_slots(Lane& lane, std::size_t li) {
+  // The per-slot path feeds the series the engine's backlog estimate,
+  // which the certificate pins to the stretch's constant.
+  skipped_slots_ += replay_quiescent(
+      lane.quiet, lane.now, argmin_turn(lanes_, li), config_.warmup,
+      metrics_, lane.tally, config_.capture.series, lane.quiet.backlog,
+      [&] {
+        // Replicas are untouched during the replay, and honest replicas
+        // are bit-identical at every step, so comparing the pre-skip
+        // states at the due cadence reproduces the per-slot path's
+        // verdict and count.
+        if (config_.consistency_check_every != 0 &&
+            lane.tally.probe_slots % config_.consistency_check_every == 0) {
+          check_consistency(lane);
+        }
+      });
+  if (lane.quiet.active()) return;
+  for (auto& engine : lane.engines) {
+    engine->skip_quiescent(lane.now - 1.0, lane.quiet.slots);
+  }
 }
 
 const SimMetrics& Network::run() {
@@ -458,11 +442,9 @@ const SimMetrics& Network::run() {
   TCW_EXPECTS(!stations_.empty());
   if (config_.event_skip) {
     // The skip certificates only hold on the schedule-independent batched
-    // stream and a single lane (skipping one lane ahead would reorder the
-    // lanes' additions to the shared accumulators), and canonicalize
-    // replica state (so a desync injection must be audited per-slot).
+    // stream, and canonicalize replica state (so a desync injection must
+    // be audited per-slot).
     TCW_EXPECTS(batched_rate_ > 0.0);
-    TCW_EXPECTS(lanes_.size() == 1);
     TCW_EXPECTS(!config_.reference_kernel);
     TCW_EXPECTS(desync_replica_ == SIZE_MAX);
   }
@@ -497,8 +479,14 @@ const SimMetrics& Network::run() {
     for (std::size_t c = 1; c < lanes_.size(); ++c) {
       if (lanes_[c].now < lanes_[li].now) li = c;
     }
-    if (lanes_[li].now >= config_.t_end) break;
-    step_lane(lanes_[li], static_cast<std::uint32_t>(li));
+    Lane& lane = lanes_[li];
+    if (lane.now >= config_.t_end) break;
+    if (lane.quiet.active() ||
+        (config_.event_skip && start_quiescent(lane))) {
+      replay_quiescent_slots(lane, li);
+    } else {
+      step_lane(lane, static_cast<std::uint32_t>(li));
+    }
   }
   finalize();
   finished_ = true;
@@ -507,10 +495,6 @@ const SimMetrics& Network::run() {
 
 void Network::step_lane(Lane& lane, std::uint32_t ch) {
   generate_arrivals_until(lane.now);
-  if (config_.event_skip && lane.active.empty() && lane.consistent &&
-      try_skip_quiescent(lane)) {
-    return;
-  }
   const double k = config_.policy.deadline;
   const bool reference = config_.reference_kernel;
   obs::SlotSeries* const series = config_.capture.series;

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -31,6 +30,7 @@
 #include "net/channel_plan.hpp"
 #include "net/metrics.hpp"
 #include "net/protocol_engine.hpp"
+#include "net/quiescent_replay.hpp"
 #include "obs/capture.hpp"
 #include "obs/channel_counters.hpp"
 #include "sim/rng.hpp"
@@ -46,7 +46,7 @@ struct NetworkConfig {
   /// net/channel_plan.hpp for the catalogs. Every channel is a lane with
   /// its own engine replicas, clock and queues; messages are routed to a
   /// lane at arrival time and lanes step in argmin-clock order. Runs with
-  /// more than one channel exclude event_skip and the desync test hook.
+  /// more than one channel exclude the desync test hook.
   PolicyConfig mac;
   double message_length = 25.0;
   double success_overhead = 1.0;
@@ -73,18 +73,17 @@ struct NetworkConfig {
   /// the fast path (kernel_bench --verify proves it); kept only as that
   /// cross-check and as the pre-PR throughput baseline.
   bool reference_kernel = false;
-  /// Large-N stepper: when the active-station index is empty and every
-  /// engine replica certifies a quiescent stretch (see
-  /// ProtocolEngine::quiescent_until), jump straight to the next
-  /// arrival-or-end event instead of iterating the empty slots. Requires
-  /// the batched arrival stream (homogeneous_poisson_batched) -- the
-  /// per-station lazy draws interleave on the shared rng_ in
-  /// schedule-dependent order -- a single channel, and no reference
-  /// kernel / desync injection. (With several channels, skipping
-  /// one lane ahead would reorder its additions to the shared Welford
-  /// accumulators against the other lanes' slots.) Metrics are
-  /// bit-identical to the per-slot fast path on the same batched stream
-  /// (kernel_bench --verify and tests/test_event_skip prove it).
+  /// Large-N stepper: when a lane's active-station index is empty and
+  /// every engine replica certifies a quiescent stretch (see
+  /// ProtocolEngine::quiescent_until), replay the stretch's per-slot
+  /// metric contributions (net/quiescent_replay.hpp) instead of stepping
+  /// the empty slots' stations and engines. Lanes keep their argmin
+  /// order, so any channel count is exact. Requires the batched arrival
+  /// stream (homogeneous_poisson_batched) -- the per-station lazy draws
+  /// interleave on the shared rng_ in schedule-dependent order -- and no
+  /// reference kernel / desync injection. Metrics are bit-identical to the
+  /// per-slot fast path on the same batched stream (kernel_bench --verify
+  /// and tests/test_event_skip prove it).
   bool event_skip = false;
   /// Optional flight-recorder segment / slot-series hooks (strict
   /// overlays: never touch RNG state or results; the event-skip stepper
@@ -140,7 +139,8 @@ class Network {
   /// runs report their one channel at index 0.
   std::vector<obs::ChannelTally> channel_tallies() const;
   /// Slots covered by event-skip certificates rather than stepped one by
-  /// one (0 unless NetworkConfig::event_skip; benches report the ratio).
+  /// one, summed over channels (0 unless NetworkConfig::event_skip;
+  /// benches report the ratio).
   std::uint64_t skipped_slots() const { return skipped_slots_; }
   /// Engine replicas actually stepped per channel (canonical + shadows);
   /// only meaningful once run() has started. Before run() it reports what
@@ -173,7 +173,9 @@ class Network {
 
   /// One station's messages on one lane.
   struct StationQueue {
-    std::deque<chan::Message> msgs;  // sorted by window_stamp
+    // Sorted by window_stamp. A vector, not a deque: an empty vector owns
+    // no storage, and most of a large population's queues stay empty.
+    std::vector<chan::Message> msgs;
     std::ptrdiff_t active_pos = -1;  // slot in Lane::active, -1 when empty
   };
 
@@ -195,6 +197,8 @@ class Network {
     double last_tx_end = 0.0;
     bool consistent = true;
     std::uint64_t pending = 0;  // messages queued across all stations
+    // The certified quiescent stretch being replayed (event_skip only).
+    QuiescentRun quiet;
     std::vector<StationQueue> queues;   // indexed by station id
     std::vector<std::uint32_t> active;  // ids of stations with pending work
     // Observability tallies, plain locals on the hot path, flushed into
@@ -226,12 +230,13 @@ class Network {
   void refill_batched_block();
   /// Time of the next undelivered batched arrival (refills as needed).
   double next_batched_arrival();
-  /// Event-skip fast path (single channel): with no active station,
-  /// certify a quiescent stretch across every replica, replay its
-  /// per-slot metric pattern exactly, and fast-forward the engines.
-  /// Returns false when no stretch is certified (the caller steps the
-  /// slot normally).
-  bool try_skip_quiescent(Lane& lane);
+  /// Event-skip fast path: with no active station, certify a quiescent
+  /// stretch that every replica agrees on. Returns false when none is
+  /// certified (the caller steps the slot normally).
+  bool start_quiescent(Lane& lane);
+  /// Replay the lane's stretch while it keeps the argmin turn, and
+  /// fast-forward every replica once the stretch is used up.
+  void replay_quiescent_slots(Lane& lane, std::size_t li);
   void step_lane(Lane& lane, std::uint32_t ch);
   void purge_expired(Lane& lane, std::uint32_t ch);
   void check_consistency(Lane& lane);

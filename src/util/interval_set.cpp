@@ -50,13 +50,10 @@ void IntervalSet::erase(double lo, double hi) {
 }
 
 void IntervalSet::erase_below(double x) {
-  std::vector<Interval> out;
-  out.reserve(parts_.size());
-  for (const Interval& p : parts_) {
-    if (p.hi <= x) continue;
-    out.push_back(Interval{std::max(p.lo, x), p.hi});
-  }
-  parts_ = std::move(out);
+  // Parts are sorted and disjoint: drop the prefix ending at or below x;
+  // only the first kept part can straddle x.
+  parts_.erase(parts_.begin(), lower_part(parts_, x));
+  if (!parts_.empty() && parts_.front().lo < x) parts_.front().lo = x;
 }
 
 bool IntervalSet::contains(double x) const {

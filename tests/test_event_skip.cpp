@@ -2,8 +2,8 @@
 // (NetworkConfig::event_skip): on the batched arrival stream the skipping
 // kernel must reproduce the per-slot fast kernel bit for bit -- every
 // metric, the probe count, and the number of consistency checks run --
-// across randomized {N, rho, K, engine, shadow_replicas} configurations,
-// including warmup boundaries that land inside a skipped stretch and
+// across randomized {N, rho, K, engine, shadow_replicas, channels}
+// configurations, including warmup boundaries that land inside a skipped stretch and
 // sender-discard accounting. Suite name (EventSkip) is targeted by the
 // tier-1 TSan filter in scripts/tier1.sh.
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "util/contract.hpp"
 
 using tcw::core::ControlPolicy;
+using tcw::net::ChannelSelectorKind;
 using tcw::net::EngineKind;
 using tcw::net::Network;
 using tcw::net::NetworkConfig;
@@ -60,6 +61,8 @@ struct Cell {
   double k = 75.0;
   double message_length = 25.0;
   EngineKind kind = EngineKind::Window;
+  std::uint32_t channels = 1;
+  ChannelSelectorKind selector = ChannelSelectorKind::HashShard;
   std::size_t shadows = 2;
   double t_end = 20000.0;
   double warmup = 2000.0;
@@ -73,6 +76,8 @@ NetworkConfig make_config(const Cell& cell, bool event_skip) {
   cfg.policy = ControlPolicy::optimal(
       cell.k, tcw::analysis::optimal_window_load() / lambda);
   cfg.mac.engine.kind = cell.kind;
+  cfg.mac.channel.channels = cell.channels;
+  cfg.mac.channel.selector = cell.selector;
   if (cell.kind == EngineKind::DynamicAloha) {
     cfg.mac.engine.arrival_rate = lambda;
   }
@@ -102,6 +107,7 @@ std::uint64_t expect_conformant(const Cell& cell) {
       "N=" + std::to_string(cell.stations) +
       " rho=" + std::to_string(cell.rho) + " k=" + std::to_string(cell.k) +
       " engine=" + to_string(cell.kind) +
+      " C=" + std::to_string(cell.channels) + "/" + to_string(cell.selector) +
       " shadows=" + std::to_string(cell.shadows) +
       " seed=" + std::to_string(cell.seed);
   EXPECT_EQ(fingerprint(fm), fingerprint(sm)) << label;
@@ -126,6 +132,7 @@ TEST(EventSkip, ConformanceRandomizedCells) {
   const EngineKind kinds[] = {EngineKind::Window, EngineKind::SlottedAloha,
                               EngineKind::DynamicAloha};
   std::uint64_t total_skipped = 0;
+  std::uint64_t total_skipped_multi = 0;
   for (int i = 0; i < 12; ++i) {
     Cell cell;
     cell.stations = 2 + tcw::sim::uniform_index(gen, 400);
@@ -138,10 +145,19 @@ TEST(EventSkip, ConformanceRandomizedCells) {
     cell.check_every = 128u << tcw::sim::uniform_index(gen, 3);
     cell.seed = 1000 + i;
     total_skipped += expect_conformant(cell);
+    // Every other cell again on two channels, cycling through the
+    // selectors: the replay keeps argmin lane order, so the lanes' shared
+    // accumulators see per-slot order.
+    if (i % 2 == 0) {
+      cell.channels = 2;
+      cell.selector = static_cast<ChannelSelectorKind>((i / 2) % 4);
+      total_skipped_multi += expect_conformant(cell);
+    }
   }
   // The sampler must have exercised the skip path somewhere, or the
   // conformance claim is vacuous.
   EXPECT_GT(total_skipped, 0u);
+  EXPECT_GT(total_skipped_multi, 0u);
 }
 
 TEST(EventSkip, EngagesOnSparseLoad) {

@@ -98,6 +98,46 @@ TEST(IntervalSet, EraseBelowTrims) {
   EXPECT_TRUE(s.contains(4.5));
 }
 
+TEST(IntervalSet, EraseBelowAtPartEndDropsThePart) {
+  // hi == x: the part lies wholly below x and goes; the next is untouched.
+  IntervalSet s;
+  s.insert(0.0, 2.0);
+  s.insert(3.0, 5.0);
+  s.erase_below(2.0);
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.parts()[0], (Interval{3.0, 5.0}));
+  s.erase_below(5.0);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(IntervalSet, EraseBelowInsidePartTrimsOnlyThatPart) {
+  // lo < x < hi: the straddling part is trimmed to [x, hi); later parts
+  // keep their bounds.
+  IntervalSet s;
+  s.insert(0.0, 2.0);
+  s.insert(3.0, 5.0);
+  s.insert(7.0, 9.0);
+  s.erase_below(3.5);
+  ASSERT_EQ(s.size(), 2u);
+  EXPECT_EQ(s.parts()[0], (Interval{3.5, 5.0}));
+  EXPECT_EQ(s.parts()[1], (Interval{7.0, 9.0}));
+  EXPECT_TRUE(s.check_invariant());
+  // A cut below every part changes nothing; a cut in a gap drops the
+  // parts below it and trims none.
+  s.erase_below(-1.0);
+  EXPECT_EQ(s.size(), 2u);
+  s.erase_below(6.0);
+  ASSERT_EQ(s.size(), 1u);
+  EXPECT_EQ(s.parts()[0], (Interval{7.0, 9.0}));
+}
+
+TEST(IntervalSet, EraseBelowOnEmptySet) {
+  IntervalSet s;
+  s.erase_below(4.0);
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.check_invariant());
+}
+
 TEST(IntervalSet, MeasureWithinRange) {
   IntervalSet s;
   s.insert(0.0, 2.0);
