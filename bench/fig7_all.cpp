@@ -1,11 +1,10 @@
 // All six Figure-7 panels as ONE job graph: every (panel, variant,
 // K-point, replication) shard runs on a single shared thread pool with
-// cross-sweep work stealing, instead of seven binaries each churning
-// transient pools. Panel CSVs are byte-identical to the standalone
+// cross-sweep work stealing. Panel CSVs are byte-identical to the panel
 // binaries' output at the same seed, for any --threads value; the
 // consolidated BENCH_JSON reports per-sweep and total wall clock,
 // jobs/sec and worker utilization, and (with --baseline, the default)
-// the sequential per-pool wall clock it replaces.
+// the wall clock of re-running every simulation sweep on its own.
 //
 //   $ ./fig7_all --reps 2 --threads 0 --csv-dir results
 #include "fig7_common.hpp"
@@ -29,8 +28,9 @@ int main(int argc, char** argv) {
   flags.add("csv-dir", &suite.csv_dir,
             "directory for the per-panel CSVs (<panel>.csv)");
   flags.add("baseline", &suite.baseline,
-            "also run the panels sequentially with per-sweep pools, "
-            "verify bit-identical outputs, and report both wall clocks");
+            "also re-run every simulation sweep on its own, one after "
+            "another, verify bit-identical outputs, and report both wall "
+            "clocks");
   tcw::bench::register_obs_flags(flags, suite.base.obs);
   if (!flags.parse(argc, argv)) return 1;
   return tcw::bench::run_fig7_suite(suite);

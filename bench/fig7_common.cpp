@@ -124,16 +124,6 @@ void compute_series(AnalyticSeries series, const Fig7Options& o,
   }
 }
 
-/// All three series of one panel, inline (the standalone path).
-Fig7PanelAnalytic compute_fig7_analytic(const Fig7Options& opts,
-                                        const std::vector<double>& grid) {
-  Fig7PanelAnalytic out;
-  for (const AnalyticSeries series : kAnalyticSeries) {
-    compute_series(series, opts, grid, out);
-  }
-  return out;
-}
-
 /// Rough relative cost of one analytic series at paper resolution, used
 /// only to order the suite's analytic shards longest first. The LCFS
 /// busy-period table grows as Kmax^2; the controlled curve's renewal
@@ -155,7 +145,7 @@ double series_cost(AnalyticSeries series, const Fig7Options& o) {
   return 0.0;
 }
 
-/// The suite's "fig7/analytic" sweep: one shard per (panel, series),
+/// The run's "fig7/analytic" sweep: one shard per (panel, series),
 /// longest first, each writing its series into `out[panel]`. `opts` and
 /// `out` must outlive the scheduler run.
 std::vector<std::function<void()>> analytic_shards(
@@ -236,8 +226,7 @@ Fig7PanelJob schedule_fig7_panel(exec::SweepScheduler& scheduler,
 
 int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
                       const Fig7PanelSim& sim,
-                      const Fig7PanelAnalytic& analytic,
-                      const net::SweepTiming* engine_timing) {
+                      const Fig7PanelAnalytic& analytic) {
   std::printf("== %s: controlled window protocol, rho'=%.2f M=%.0f ==\n",
               panel_name.c_str(), o.offered_load, o.message_length);
   std::printf("   (loss vs. time constraint K; K in slots of the channel\n"
@@ -305,20 +294,6 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
               analysis::optimal_window_load(),
               sweep_config_from(o).heuristic_window_width());
 
-  if (engine_timing != nullptr) {
-    std::printf("sweep engine: threads=%u jobs=%zu wall=%.3fs "
-                "jobs_per_sec=%.2f\n",
-                engine_timing->threads, engine_timing->jobs,
-                engine_timing->wall_seconds, engine_timing->jobs_per_second);
-    // Machine-readable timing line; the bench harness lifts it into the
-    // BENCH_*.json record for this panel.
-    std::printf("BENCH_JSON {\"panel\":\"%s\",\"threads\":%u,\"jobs\":%zu,"
-                "\"wall_seconds\":%.4f,\"jobs_per_sec\":%.2f}\n",
-                panel_name.c_str(), engine_timing->threads,
-                engine_timing->jobs, engine_timing->wall_seconds,
-                engine_timing->jobs_per_second);
-  }
-
   const std::string csv_path =
       o.csv.empty() ? panel_name + ".csv" : o.csv;
   if (table.save_csv(csv_path)) {
@@ -328,40 +303,6 @@ int render_fig7_panel(const std::string& panel_name, const Fig7Options& o,
     return 1;
   }
   return 0;
-}
-
-int run_fig7_panel(const std::string& panel_name, const Fig7Options& opts) {
-  const Fig7Options o = with_quick_applied(opts);
-  // Standalone panels have no scheduler: manifest only, no timeline.
-  ObsSession obs(panel_name, o.obs);
-  Fig7PanelSim sim;
-  sim.grid = panel_grid(o);
-  const net::SweepConfig sweep = sweep_config_from(o);
-
-  net::SweepTiming total;
-  net::SweepTiming timing;
-  const auto run_variant = [&](const std::string& variant,
-                               net::ProtocolVariant kind) {
-    const std::string name = panel_name + "/" + variant;
-    net::SweepConfig cfg = sweep;
-    if (obs.wants_capture()) {
-      cfg.capture_request.capture = obs.make_capture(name, cfg.base_seed);
-    }
-    net::ScheduledSweep handle = net::run_sweep(
-        {.config = cfg, .constraints = sim.grid, .variant = kind,
-         .timing = &timing});
-    obs.track_sweep(name, handle);
-    total.accumulate(timing);
-    return handle.points();
-  };
-  sim.controlled = run_variant("controlled", net::ProtocolVariant::Controlled);
-  sim.fcfs = run_variant("fcfs", net::ProtocolVariant::FcfsNoDiscard);
-  sim.lcfs = run_variant("lcfs", net::ProtocolVariant::LcfsNoDiscard);
-
-  int rc = render_fig7_panel(panel_name, o, sim,
-                             compute_fig7_analytic(o, sim.grid), &total);
-  rc |= obs.finish(nullptr);
-  return rc;
 }
 
 int fig7_main(const std::string& panel_name, double rho, double m, int argc,
@@ -419,38 +360,81 @@ exec::SchedulerReport run_scheduler_with_report(
   return report;
 }
 
-int run_fig7_suite(const Fig7SuiteOptions& suite) {
-  const std::vector<Fig7PanelSpec>& panels =
-      suite.panels.empty() ? fig7_panels() : suite.panels;
-  const Fig7Options base = with_quick_applied(suite.base);
+namespace {
 
-  std::error_code dir_ec;
-  std::filesystem::create_directories(suite.csv_dir, dir_ec);
-  if (dir_ec) {
-    std::fprintf(stderr, "cannot create csv dir %s: %s\n",
-                 suite.csv_dir.c_str(), dir_ec.message().c_str());
-    return 1;
+/// The sequential cross-check behind `fig7_all --baseline`: re-run every
+/// simulation sweep on its own, panels strictly one after another, and
+/// bit-compare with the scheduled run. Prints both wall clocks; returns
+/// nonzero on a mismatch.
+int run_fig7_baseline(const std::vector<Fig7Options>& panel_opts,
+                      const std::vector<Fig7PanelSim>& sims,
+                      const exec::SchedulerReport& report) {
+  // The analytic series are not re-run, so the speedup compares the
+  // sequential simulations with the whole scheduled run, analytic shards
+  // included.
+  const auto t0 = std::chrono::steady_clock::now();
+  bool identical = true;
+  for (std::size_t i = 0; i < panel_opts.size(); ++i) {
+    const net::SweepConfig sweep = sweep_config_from(panel_opts[i]);
+    const std::vector<double>& grid = sims[i].grid;
+    identical &= points_identical(
+        sims[i].controlled,
+        net::run_sweep({.config = sweep, .constraints = grid,
+                        .variant = net::ProtocolVariant::Controlled})
+            .points());
+    identical &= points_identical(
+        sims[i].fcfs,
+        net::run_sweep({.config = sweep, .constraints = grid,
+                        .variant = net::ProtocolVariant::FcfsNoDiscard})
+            .points());
+    identical &= points_identical(
+        sims[i].lcfs,
+        net::run_sweep({.config = sweep, .constraints = grid,
+                        .variant = net::ProtocolVariant::LcfsNoDiscard})
+            .points());
   }
+  const double sequential_wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  const double speedup = report.wall_seconds > 0.0
+                             ? sequential_wall / report.wall_seconds
+                             : 0.0;
+  std::printf("baseline (simulations only, sequential, per-sweep pools): "
+              "wall=%.3fs, scheduled wall (simulations + analytic)=%.3fs, "
+              "speedup=%.2fx, outputs identical: "
+              "%s\n",
+              sequential_wall, report.wall_seconds, speedup,
+              identical ? "yes" : "NO");
+  std::printf("BENCH_JSON {\"suite\":\"fig7_all_baseline\","
+              "\"sequential_wall_seconds\":%.4f,"
+              "\"scheduled_wall_seconds\":%.4f,\"speedup\":%.2f,"
+              "\"outputs_identical\":%s}\n",
+              sequential_wall, report.wall_seconds, speedup,
+              identical ? "true" : "false");
+  if (identical) return 0;
+  std::fprintf(stderr, "fig7_all: scheduled and standalone outputs differ\n");
+  return 1;
+}
 
-  ObsSession obs("fig7_all", base.obs);
+/// The one Figure-7 runner behind run_fig7_panel and run_fig7_suite: the
+/// "fig7/analytic" sweep plus every panel's simulation sweeps as one job
+/// graph on one pool, then each panel's render and the scheduler report
+/// labelled `run_name`. `panel_opts` are quick-resolved, one per entry of
+/// `panels`; they share threads and observability options, which are
+/// read from the first.
+int run_fig7_job(const std::string& run_name,
+                 const std::vector<Fig7PanelSpec>& panels,
+                 const std::vector<Fig7Options>& panel_opts, bool baseline) {
+  const Fig7Options& shared = panel_opts.front();
+  ObsSession obs(run_name, shared.obs);
   exec::ThreadPool pool(
-      exec::resolve_threads(static_cast<int>(base.threads)));
+      exec::resolve_threads(static_cast<int>(shared.threads)));
   exec::SweepScheduler scheduler(pool);
   obs.attach(scheduler);
 
-  std::printf("== fig7_all: %zu panels as one job graph on %zu worker(s) "
-              "==\n\n",
-              panels.size(), pool.size());
-
-  std::vector<Fig7Options> panel_opts;
-  panel_opts.reserve(panels.size());
-  for (const Fig7PanelSpec& p : panels) {
-    Fig7Options o = base;
-    o.offered_load = p.offered_load;
-    o.message_length = p.message_length;
-    o.csv = suite.csv_dir + "/" + p.name + ".csv";
-    panel_opts.push_back(std::move(o));
-  }
+  std::printf("== %s: %zu %s as one job graph on %zu worker(s) ==\n\n",
+              run_name.c_str(), panels.size(),
+              panels.size() == 1 ? "panel" : "panels", pool.size());
 
   // The analytic sweep is registered first, so one runner starts on its
   // longest shards at once while the others start on the simulations;
@@ -473,64 +457,46 @@ int run_fig7_suite(const Fig7SuiteOptions& suite) {
   int rc = 0;
   for (std::size_t i = 0; i < panels.size(); ++i) {
     rc |= render_fig7_panel(panels[i].name, panel_opts[i], sims[i],
-                            analytic[i], /*engine_timing=*/nullptr);
+                            analytic[i]);
   }
 
-  print_scheduler_report(report, "fig7_all");
-
-  if (suite.baseline) {
-    // The pre-scheduler execution model: every simulation sweep on its own
-    // transient pool, panels strictly one after another. Cross-check
-    // bit-equality and report both wall clocks. The analytic series are
-    // not re-run, so the speedup compares the sequential simulations with
-    // the whole scheduled run, analytic shards included.
-    const auto t0 = std::chrono::steady_clock::now();
-    bool identical = true;
-    for (std::size_t i = 0; i < panels.size(); ++i) {
-      const net::SweepConfig sweep = sweep_config_from(panel_opts[i]);
-      const std::vector<double>& grid = sims[i].grid;
-      identical &= points_identical(
-          sims[i].controlled,
-          net::run_sweep({.config = sweep, .constraints = grid,
-                          .variant = net::ProtocolVariant::Controlled})
-              .points());
-      identical &= points_identical(
-          sims[i].fcfs,
-          net::run_sweep({.config = sweep, .constraints = grid,
-                          .variant = net::ProtocolVariant::FcfsNoDiscard})
-              .points());
-      identical &= points_identical(
-          sims[i].lcfs,
-          net::run_sweep({.config = sweep, .constraints = grid,
-                          .variant = net::ProtocolVariant::LcfsNoDiscard})
-              .points());
-    }
-    const double sequential_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double speedup = report.wall_seconds > 0.0
-                               ? sequential_wall / report.wall_seconds
-                               : 0.0;
-    std::printf("baseline (simulations only, sequential, per-sweep pools): "
-                "wall=%.3fs, scheduled wall (simulations + analytic)=%.3fs, "
-                "speedup=%.2fx, outputs identical: "
-                "%s\n",
-                sequential_wall, report.wall_seconds, speedup,
-                identical ? "yes" : "NO");
-    std::printf("BENCH_JSON {\"suite\":\"fig7_all_baseline\","
-                "\"sequential_wall_seconds\":%.4f,"
-                "\"scheduled_wall_seconds\":%.4f,\"speedup\":%.2f,"
-                "\"outputs_identical\":%s}\n",
-                sequential_wall, report.wall_seconds, speedup,
-                identical ? "true" : "false");
-    if (!identical) {
-      std::fprintf(stderr,
-                   "fig7_all: scheduled and standalone outputs differ\n");
-      rc = 1;
-    }
-  }
+  print_scheduler_report(report, run_name);
+  if (baseline) rc |= run_fig7_baseline(panel_opts, sims, report);
   rc |= obs.finish(&report);
   return rc;
+}
+
+}  // namespace
+
+int run_fig7_panel(const std::string& panel_name, const Fig7Options& opts) {
+  return run_fig7_job(
+      panel_name, {{panel_name, opts.offered_load, opts.message_length}},
+      {with_quick_applied(opts)}, /*baseline=*/false);
+}
+
+int run_fig7_suite(const Fig7SuiteOptions& suite) {
+  const std::vector<Fig7PanelSpec>& panels =
+      suite.panels.empty() ? fig7_panels() : suite.panels;
+  const Fig7Options base = with_quick_applied(suite.base);
+
+  std::error_code dir_ec;
+  std::filesystem::create_directories(suite.csv_dir, dir_ec);
+  if (dir_ec) {
+    std::fprintf(stderr, "cannot create csv dir %s: %s\n",
+                 suite.csv_dir.c_str(), dir_ec.message().c_str());
+    return 1;
+  }
+
+  std::vector<Fig7Options> panel_opts;
+  panel_opts.reserve(panels.size());
+  for (const Fig7PanelSpec& p : panels) {
+    Fig7Options o = base;
+    o.offered_load = p.offered_load;
+    o.message_length = p.message_length;
+    o.csv = suite.csv_dir + "/" + p.name + ".csv";
+    panel_opts.push_back(std::move(o));
+  }
+  return run_fig7_job("fig7_all", panels, panel_opts, suite.baseline);
 }
 
 }  // namespace tcw::bench

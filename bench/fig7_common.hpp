@@ -4,14 +4,13 @@
 // corroborating simulation points, and the [Kurose 83] FCFS/LCFS baselines
 // (analytic where stable, simulated always).
 //
-// Two execution paths produce bit-identical panels: run_fig7_panel runs
-// one panel standalone (a transient pool per sweep, the historical
-// behaviour of the per-panel binaries, with the analytic series computed
-// inline), while schedule_fig7_panel registers the panel's three variant
-// sweeps on an externally owned exec::SweepScheduler so a whole suite
-// (fig7_all, `sweep_tool --suite`) runs as one job graph over a single
-// shared pool. run_fig7_suite also puts the analytic series on that pool,
-// as the shards of one "fig7/analytic" sweep.
+// One execution path: a panel is a suite of one. run_fig7_panel (behind
+// the six panel binaries) and run_fig7_suite (fig7_all) share one runner
+// that registers the analytic series, as the shards of one
+// "fig7/analytic" sweep, and each panel's three variant sweeps (via
+// schedule_fig7_panel) on one exec::SweepScheduler over one pool, then
+// renders every panel and prints the scheduler report. A panel's CSV is
+// therefore byte-identical whether it ran alone or inside the suite.
 #pragma once
 
 #include <string>
@@ -110,16 +109,16 @@ struct Fig7PanelAnalytic {
 };
 
 /// Print one panel's table, plot and shape checks, and write its CSV.
-/// `engine_timing`, when non-null, is echoed as the panel's own
-/// `sweep engine:` + BENCH_JSON lines (standalone runs); suite runs pass
-/// nullptr and print one consolidated report instead. Returns the process
-/// exit code. Pass quick-resolved options (the ones the sweeps ran with).
+/// Returns the process exit code. Pass quick-resolved options (the ones
+/// the sweeps ran with).
 int render_fig7_panel(const std::string& panel_name, const Fig7Options& opts,
                       const Fig7PanelSim& sim,
-                      const Fig7PanelAnalytic& analytic,
-                      const net::SweepTiming* engine_timing);
+                      const Fig7PanelAnalytic& analytic);
 
-/// Run one panel standalone; returns the process exit code.
+/// Run one panel as a suite of one: its analytic and simulation shards on
+/// one scheduler, reported (and traced, under --trace-out) under
+/// `panel_name`; the CSV goes to opts.csv (default <panel>.csv). Returns
+/// the process exit code.
 int run_fig7_panel(const std::string& panel_name, const Fig7Options& opts);
 
 /// Standard main body used by the six panel binaries.
@@ -131,9 +130,9 @@ struct Fig7SuiteOptions {
   Fig7Options base;                   // per-panel rho/M/csv are overridden
   std::vector<Fig7PanelSpec> panels;  // empty = all six fig7 panels
   std::string csv_dir = ".";          // panel CSVs land here as <panel>.csv
-  /// Also run every panel sequentially with per-sweep transient pools (the
-  /// pre-scheduler execution model), verify the outputs are bit-identical
-  /// to the scheduled run, and report both wall clocks in BENCH_JSON.
+  /// Also re-run every simulation sweep on its own, one after another,
+  /// verify the outputs are bit-identical to the shared-pool run, and
+  /// report both wall clocks in BENCH_JSON.
   bool baseline = true;
 };
 
@@ -145,8 +144,8 @@ int run_fig7_suite(const Fig7SuiteOptions& suite);
 
 /// Run a populated scheduler and print the consolidated per-sweep timing
 /// report plus the `BENCH_JSON {"suite":"<suite>",...}` line. The shared
-/// reporting tail of every scheduled bench (fig7_all, sweep_tool --suite,
-/// the migrated ablation/validation binaries).
+/// reporting tail of every scheduled bench and tool (Figure-7 panels and
+/// suite, studies, sweep_tool, the ablation/validation binaries).
 exec::SchedulerReport run_scheduler_with_report(
     exec::SweepScheduler& scheduler, const std::string& suite);
 

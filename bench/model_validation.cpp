@@ -142,8 +142,8 @@ int main(int argc, char** argv) {
   const auto queueing = analysis::controlled_loss_at(small, 24.0, 0.1);
 
   // The simulation arm runs as a scheduled sweep on a shared pool (the
-  // same enqueue path fig7_all uses); points are bit-identical to the
-  // historical standalone run_sweep call for any thread count.
+  // same enqueue path fig7_all uses); points are bit-identical for any
+  // thread count.
   tcw::net::SweepConfig sweep;
   sweep.offered_load = 0.48;
   sweep.message_length = 4.0;

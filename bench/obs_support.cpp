@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "exec/sweep_scheduler.hpp"
-#include "obs/channel_counters.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/manifest.hpp"
@@ -34,12 +33,11 @@ void register_obs_flags(Flags& flags, ObsOptions& opts) {
 
 namespace {
 
-// Cumulative kernel outcome counters appended to the --progress line.
-// Channel-tally counters are created lazily by the kernels; pre-creating
-// handles for channels the run never uses is harmless (they stay 0).
+// Cumulative kernel outcome counters appended to the --progress line:
+// the run totals each kernel adds when a run ends, whatever its channel
+// count (the per-channel `ch<N>` counters exist only for C > 1).
 std::vector<obs::ProgressStat> progress_stats() {
-  constexpr std::uint32_t kMaxChannels = 8;
-  const char* prefixes[] = {"net.aggregate", "net.network"};
+  const std::string prefixes[] = {"net.aggregate.", "net.network."};
   struct Spec {
     const char* label;
     const char* outcome;
@@ -52,11 +50,9 @@ std::vector<obs::ProgressStat> progress_stats() {
   for (const Spec& spec : specs) {
     obs::ProgressStat stat;
     stat.label = spec.label;
-    for (const char* prefix : prefixes) {
-      for (std::uint32_t ch = 0; ch < kMaxChannels; ++ch) {
-        stat.counters.push_back(obs::Registry::global().counter(
-            obs::channel_counter_name(prefix, ch, spec.outcome)));
-      }
+    for (const std::string& prefix : prefixes) {
+      stat.counters.push_back(
+          obs::Registry::global().counter(prefix + spec.outcome));
     }
     stats.push_back(std::move(stat));
   }

@@ -54,8 +54,8 @@ class ObsSession {
   ObsSession& operator=(const ObsSession&) = delete;
 
   /// Hook the timeline and progress overlays into `scheduler`. Call
-  /// before the sweeps run; drivers without a scheduler (standalone
-  /// panels, kernel_bench) skip this and get a manifest only.
+  /// before the sweeps run; kernel_bench, which has no scheduler, skips
+  /// this and gets a manifest only.
   void attach(exec::SweepScheduler& scheduler);
 
   /// Whether --flight-out or --series-out asked for kernel captures at

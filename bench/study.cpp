@@ -209,24 +209,52 @@ std::unique_ptr<exec::ShardCache> open_cache(const StudyCommonOptions& o,
                : exec::ShardCache::Mode::Fresh);
 }
 
-int run_configured(const StudyEntry& entry, Study& study,
-                   const StudyCommonOptions& common) {
-  ObsSession obs(entry.spec.name, common.obs);
+/// The one study runner behind `study_tool <study>` and --suite: every
+/// study in `entries` (with its instance in `studies`, flags already
+/// parsed) schedules its sweeps on ONE scheduler over one pool; then the
+/// scheduler report labelled `run_name`, and each study's cache report
+/// and render, in order. `common` applies to every study, --csv included.
+int run_studies(const std::string& run_name,
+                const std::vector<const StudyEntry*>& entries,
+                const std::vector<std::unique_ptr<Study>>& studies,
+                const StudyCommonOptions& common) {
+  ObsSession obs(run_name, common.obs);
   exec::ThreadPool pool(
       exec::resolve_threads(static_cast<int>(common.threads)));
   exec::SweepScheduler scheduler(pool);
   obs.attach(scheduler);
-  const std::unique_ptr<exec::ShardCache> cache =
-      open_cache(common, entry.spec.name);
-  StudyContext ctx(entry.spec, common, scheduler, cache.get());
-  ctx.set_obs(&obs);
-  study.schedule(ctx);
+  std::printf("== %s: %zu %s as one job graph on %zu worker(s) ==\n\n",
+              run_name.c_str(), entries.size(),
+              entries.size() == 1 ? "study" : "studies", pool.size());
+
+  std::vector<std::unique_ptr<exec::ShardCache>> caches;
+  std::vector<std::unique_ptr<StudyContext>> contexts;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    caches.push_back(open_cache(common, entries[i]->spec.name));
+    contexts.push_back(std::make_unique<StudyContext>(
+        entries[i]->spec, common, scheduler, caches.back().get()));
+    contexts.back()->set_obs(&obs);
+    studies[i]->schedule(*contexts.back());
+  }
+
   const exec::SchedulerReport report =
-      run_scheduler_with_report(scheduler, entry.spec.name);
-  print_cache_report(entry.spec.name, ctx);
-  int rc = study.render(ctx);
+      run_scheduler_with_report(scheduler, run_name);
+
+  int rc = 0;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    print_cache_report(entries[i]->spec.name, *contexts[i]);
+    rc |= studies[i]->render(*contexts[i]);
+  }
   rc |= obs.finish(&report);
   return rc;
+}
+
+/// A single study is a suite of one, labelled with its own name.
+int run_one_study(const StudyEntry& entry, std::unique_ptr<Study> study,
+                  const StudyCommonOptions& common) {
+  std::vector<std::unique_ptr<Study>> studies;
+  studies.push_back(std::move(study));
+  return run_studies(entry.spec.name, {&entry}, studies, common);
 }
 
 }  // namespace
@@ -238,14 +266,14 @@ int run_study_main(const std::string& name, int argc,
     std::fprintf(stderr, "unknown study: %s\n", name.c_str());
     return 1;
   }
-  const std::unique_ptr<Study> study = entry->make();
+  std::unique_ptr<Study> study = entry->make();
   StudyCommonOptions common;
   common.csv = entry->spec.default_csv;
   Flags flags(name, entry->spec.summary);
   study->register_flags(flags);
   register_common_flags(flags, common);
   if (!flags.parse(argc, argv)) return 1;
-  return run_configured(*entry, *study, common);
+  return run_one_study(*entry, std::move(study), common);
 }
 
 int run_study(const std::string& name, const StudyCommonOptions& common,
@@ -255,7 +283,7 @@ int run_study(const std::string& name, const StudyCommonOptions& common,
     std::fprintf(stderr, "unknown study: %s\n", name.c_str());
     return 1;
   }
-  const std::unique_ptr<Study> study = entry->make();
+  std::unique_ptr<Study> study = entry->make();
   StudyCommonOptions resolved = common;
   if (resolved.csv.empty()) resolved.csv = entry->spec.default_csv;
   if (!extra_argv.empty()) {
@@ -265,7 +293,7 @@ int run_study(const std::string& name, const StudyCommonOptions& common,
     for (const std::string& a : extra_argv) argv.push_back(a.c_str());
     if (!flags.parse(static_cast<int>(argv.size()), argv.data())) return 1;
   }
-  return run_configured(*entry, *study, resolved);
+  return run_one_study(*entry, std::move(study), resolved);
 }
 
 int run_study_suite(const StudyCommonOptions& common,
@@ -284,41 +312,13 @@ int run_study_suite(const StudyCommonOptions& common,
     }
   }
 
-  ObsSession obs("study_suite", common.obs);
-  exec::ThreadPool pool(
-      exec::resolve_threads(static_cast<int>(common.threads)));
-  exec::SweepScheduler scheduler(pool);
-  obs.attach(scheduler);
-  std::printf("== study suite: %zu studies as one job graph on %zu "
-              "worker(s) ==\n\n",
-              entries.size(), pool.size());
-
-  std::vector<std::unique_ptr<Study>> studies;
-  std::vector<std::unique_ptr<exec::ShardCache>> caches;
-  std::vector<std::unique_ptr<StudyContext>> contexts;
   // Suite-wide --csv would make every study write the same file; studies
   // keep their per-study defaults instead.
   StudyCommonOptions per_study = common;
   per_study.csv.clear();
-  for (const StudyEntry* e : entries) {
-    studies.push_back(e->make());
-    caches.push_back(open_cache(per_study, e->spec.name));
-    contexts.push_back(std::make_unique<StudyContext>(
-        e->spec, per_study, scheduler, caches.back().get()));
-    contexts.back()->set_obs(&obs);
-    studies.back()->schedule(*contexts.back());
-  }
-
-  const exec::SchedulerReport report =
-      run_scheduler_with_report(scheduler, "study_suite");
-
-  int rc = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    print_cache_report(entries[i]->spec.name, *contexts[i]);
-    rc |= studies[i]->render(*contexts[i]);
-  }
-  rc |= obs.finish(&report);
-  return rc;
+  std::vector<std::unique_ptr<Study>> studies;
+  for (const StudyEntry* e : entries) studies.push_back(e->make());
+  return run_studies("study_suite", entries, studies, per_study);
 }
 
 int study_tool_main(int argc, const char* const* argv) {

@@ -6,10 +6,12 @@
 //   $ ./sweep_tool --variant controlled --rho 0.6 --m 25 \
 //         --k-min 25 --k-max 400 --points 8 --csv out.csv
 //
-// With --suite, all four variants run together as one job graph on a
-// shared thread pool (cross-variant work stealing), writing one CSV per
-// variant plus a consolidated BENCH_JSON report; each variant's numbers
-// are bit-identical to its standalone run at the same seed.
+// Sweeps run on a SweepScheduler, which prints its timing report and a
+// BENCH_JSON line; --trace-out and --progress apply. With --suite, all
+// four variants run together as one job graph on a shared thread pool
+// (cross-variant work stealing), writing one CSV per variant; each
+// variant's numbers are bit-identical to its single-variant run at the
+// same seed.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "analysis/loss_model.hpp"
 #include "exec/sweep_scheduler.hpp"
 #include "exec/thread_pool.hpp"
+#include "fig7_common.hpp"
 #include "net/experiment.hpp"
 #include "obs_support.hpp"
 #include "util/csv.hpp"
@@ -62,7 +65,8 @@ int run_suite(const tcw::net::SweepConfig& cfg,
         {.config = cfg, .constraints = grid, .variant = v.variant},
         {.scheduler = &scheduler, .name = v.name}));
   }
-  const auto report = scheduler.run();
+  const auto report =
+      tcw::bench::run_scheduler_with_report(scheduler, "sweep_suite");
 
   std::vector<std::vector<tcw::net::SweepPoint>> points;
   points.reserve(handles.size());
@@ -99,13 +103,6 @@ int run_suite(const tcw::net::SweepConfig& cfg,
     }
     std::printf("csv: %s\n", path.c_str());
   }
-
-  std::printf("\nsweep scheduler: threads=%u jobs=%zu wall=%.3fs "
-              "jobs_per_sec=%.2f worker_utilization=%.2f\n",
-              report.threads, report.shards, report.wall_seconds,
-              report.shards_per_second, report.worker_utilization);
-  std::printf("BENCH_JSON %s\n",
-              report.bench_json("sweep_suite").c_str());
   return obs.finish(&report);
 }
 
@@ -176,15 +173,19 @@ int main(int argc, char** argv) {
                                           static_cast<std::size_t>(points));
   if (suite) return run_suite(cfg, grid, threads, csv, obs_opts);
 
-  // Standalone sweeps run on a transient pool inside run_sweep: manifest
-  // only, no scheduler timeline.
+  // One variant is a suite of one: its own pool and scheduler, so the
+  // timeline, progress line and scheduler report work as in --suite.
   tcw::bench::ObsSession obs("sweep_tool", obs_opts);
-  tcw::net::SweepTiming timing;
-  const auto pts = tcw::net::run_sweep({.config = cfg,
-                                        .constraints = grid,
-                                        .variant = variant,
-                                        .timing = &timing})
-                       .points();
+  tcw::exec::ThreadPool pool(
+      tcw::exec::resolve_threads(static_cast<int>(threads)));
+  tcw::exec::SweepScheduler scheduler(pool);
+  obs.attach(scheduler);
+  const auto handle = tcw::net::run_sweep(
+      {.config = cfg, .constraints = grid, .variant = variant},
+      {.scheduler = &scheduler, .name = variant_name});
+  const auto report =
+      tcw::bench::run_scheduler_with_report(scheduler, "sweep_tool");
+  const auto pts = handle.points();
 
   tcw::analysis::ProtocolModelConfig model;
   model.offered_load = rho;
@@ -230,10 +231,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failed to write %s\n", csv.c_str());
     return 1;
   }
-  std::printf("\nsweep engine: threads=%u jobs=%zu wall=%.3fs "
-              "jobs_per_sec=%.2f\n",
-              timing.threads, timing.jobs, timing.wall_seconds,
-              timing.jobs_per_second);
   std::printf("csv: %s\n", csv.c_str());
-  return obs.finish(nullptr);
+  return obs.finish(&report);
 }

@@ -20,8 +20,6 @@ object, and must carry the required keys for its record shape. Shapes:
   merge record       {"suite", "merge": {"path", "segments", "entries",
                       "universe", "cached", "missing",
                       "corrupt_segments", "compacted", "wall_seconds"}}
-  panel record       {"panel", "threads", "jobs", "wall_seconds",
-                      "jobs_per_sec"}
   kernel_bench cell  {"bench", "sim", "stations", "rho", "k_over_m",
                       "kernel", "wall_seconds", "slots_per_sec",
                       "probes_per_sec"}; kernel == "event-skip" and
@@ -115,9 +113,6 @@ def classify(record):
         if record.get("sim") == "fluid":
             missing |= {"events_per_sec", "p_loss"} - record.keys()
         return "kernel_bench", missing
-    if "panel" in record:
-        return "panel", {"threads", "jobs", "wall_seconds",
-                         "jobs_per_sec"} - record.keys()
     if str(record.get("suite", "")).endswith("_baseline"):
         return "baseline", {"sequential_wall_seconds",
                             "scheduled_wall_seconds", "speedup",
@@ -133,7 +128,7 @@ def classify(record):
                 if not isinstance(sweep, dict) or SWEEP_KEYS - sweep.keys():
                     missing.add("sweeps[%d]" % i)
         return "scheduler", missing
-    return "unknown", {"suite|panel|bench|cache"}
+    return "unknown", {"suite|bench|cache"}
 
 
 def check_stream(name, stream, counts, errors):

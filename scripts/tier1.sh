@@ -15,9 +15,8 @@
 # byte-identical to single-process, including after a crashed worker),
 # a flight-recorder smoke (packet capture + slot series are a strict
 # overlay, thread-count invariant, and distributed merges reproduce the
-# single-process flight report byte for byte), an informational
-# kernel-throughput comparison against the committed baseline, and a
-# BENCH_JSON schema check over the smoke logs.
+# single-process flight report byte for byte), and a BENCH_JSON schema
+# check over the smoke logs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,12 +62,6 @@ echo "== tier-1: flight recorder / slot series / attribution smoke =="
 scripts/flight_smoke.sh build/bench/study_tool build/bench/kernel_bench \
     build/bench/flight_smoke
 
-echo "== tier-1: kernel throughput vs committed baseline (informational) =="
-build/bench/kernel_bench --quick --csv=build/bench/bench_compare.csv \
-    >build/bench/bench_compare.log 2>&1 || true
-python3 scripts/bench_compare.py --input build/bench/bench_compare.log \
-    || true
-
 echo "== tier-1: BENCH_JSON schema check over the smoke logs =="
 python3 scripts/check_bench_json.py \
     build/bench/resume_smoke/fresh.log build/bench/resume_smoke/resume.log \
@@ -98,5 +91,5 @@ cmake --build build-tsan -j --target test_thread_pool \
     test_obs test_dist_exec test_flight_recorder test_slot_series \
     test_window_model
 (cd build-tsan && ctest --output-on-failure \
-    -R 'ThreadPool|ParallelFor|ResolveThreads|SweepDeterminism|SweepTiming|SweepScheduler|SweepCapture|FlatDeque|NetworkKernel|AggregateKernel|AggregateSkip|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyCapture|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|WindowSmdp')
+    -R 'ThreadPool|ResolveThreads|SweepDeterminism|SweepScheduler|SweepCapture|FlatDeque|NetworkKernel|AggregateKernel|AggregateSkip|KernelWarmupEdge|EventSkip|ProtocolEngine|MultiChannel|PolicyGrid|ShardCache|StudyCache|StudyRunner|StudyRegistry|StudyCapture|Obs|DistLease|DistGate|SharedStore|DistExec|FlightRecorder|SlotSeries|BoundedRing|WindowSmdp')
 echo "tier-1 OK"

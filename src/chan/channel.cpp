@@ -2,12 +2,6 @@
 
 namespace tcw::chan {
 
-SlotOutcome outcome_for_transmitters(std::size_t n) {
-  if (n == 0) return SlotOutcome::Idle;
-  if (n == 1) return SlotOutcome::Success;
-  return SlotOutcome::Collision;
-}
-
 double ChannelUsage::utilization() const {
   const double total = total_slots();
   return total == 0.0 ? 0.0 : payload_ / total;

@@ -15,20 +15,6 @@
 
 namespace tcw::chan {
 
-enum class SlotOutcome : std::uint8_t { Idle, Success, Collision };
-
-/// Maps the number of simultaneous transmitters to the outcome every
-/// station observes one propagation delay later.
-SlotOutcome outcome_for_transmitters(std::size_t n);
-
-/// Channel timing parameters.
-struct ChannelConfig {
-  /// Extra slots consumed by a successful transmission beyond the message
-  /// length itself (end-of-carrier detection). The paper's accounting is
-  /// ambiguous at the +-1 slot level; see DESIGN.md section 5.
-  double success_overhead = 1.0;
-};
-
 /// Running totals of how channel time was spent; the denominators of the
 /// utilization figures reported by the benches.
 class ChannelUsage {

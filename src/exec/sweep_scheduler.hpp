@@ -1,7 +1,8 @@
 // Sharded multi-sweep scheduler: many named sweeps -- each a vector of
 // independent shard closures, e.g. one (K-point, replication) simulation
-// per shard -- run as ONE job graph over a single shared ThreadPool,
-// instead of one transient pool per sweep.
+// per shard -- run as ONE job graph over a single shared ThreadPool. It is
+// the only sweep engine: a single sweep, panel or study runs as a suite
+// of one.
 //
 // Scheduling is work-stealing across sweeps: each runner task starts on a
 // "home" sweep (spread round-robin so every sweep progresses at once)
@@ -9,9 +10,9 @@
 // registered sweep still has work. Execution order is therefore
 // nondeterministic; shard closures must write their results into
 // per-shard slots, and callers reduce those slots in a fixed order after
-// run() returns. That convention -- the same one exec::parallel_for uses
-// -- keeps every sweep's output bit-identical to its standalone run for
-// any worker count, including 1.
+// run() returns. That convention keeps every sweep's output
+// bit-identical however it is scheduled -- alone or beside other sweeps --
+// for any worker count, including 1.
 //
 // run() also produces a consolidated timing report: per-sweep and total
 // wall clock, shard throughput, and worker utilization, with a

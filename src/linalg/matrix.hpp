@@ -1,7 +1,7 @@
 // Dense row-major matrix/vector types used by the semi-Markov decision
-// module (policy evaluation solves a linear system per iteration) and by
-// Markov-chain stationary analysis. Deliberately small: only what the
-// decision-theoretic machinery of the paper's Section 3 / Appendix A needs.
+// module (policy evaluation solves a linear system per iteration).
+// Deliberately small: only what the decision-theoretic machinery of the
+// paper's Section 3 / Appendix A needs.
 #pragma once
 
 #include <initializer_list>

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 
 #include "analysis/splitting.hpp"
-#include "exec/parallel_for.hpp"
 #include "exec/shard_cache.hpp"
 #include "exec/shard_gate.hpp"
 #include "exec/sweep_scheduler.hpp"
@@ -50,15 +48,6 @@ core::ControlPolicy policy_for(ProtocolVariant variant, double deadline,
 
 double SweepConfig::heuristic_window_width() const {
   return analysis::optimal_window_load() / lambda();
-}
-
-void SweepTiming::accumulate(const SweepTiming& other) {
-  threads = std::max(threads, other.threads);
-  jobs += other.jobs;
-  wall_seconds += other.wall_seconds;
-  jobs_per_second = wall_seconds > 0.0
-                        ? static_cast<double>(jobs) / wall_seconds
-                        : 0.0;
 }
 
 namespace {
@@ -128,10 +117,10 @@ namespace detail {
 
 // Shared shard state of one loss-curve sweep: job ki*reps+rep simulates
 // (constraint ki, replication rep) and writes its slot; reduce() merges
-// the slots in fixed order. The same state backs both the standalone
-// engine (transient pool + parallel_for) and sweeps enqueued on an
-// external SweepScheduler, which is what keeps the two paths
-// bit-identical.
+// the slots in fixed order. Every sweep runs its jobs as the shards of a
+// SweepScheduler -- the caller's, or a local one for a sweep run on its
+// own -- so reduction order, and therefore every bit, is the same
+// however it was scheduled.
 class LossCurveSweep {
  public:
   LossCurveSweep(const SweepConfig& config,
@@ -398,8 +387,8 @@ ScheduledSweep run_sweep(const SweepRequest& request,
 
   exec::ShardCache* cache = bindings.cache.cache;
   obs::ManifestCollector& manifest = obs::ManifestCollector::global();
-  // Manifests record scheduled suites (studies); standalone sweeps stay
-  // out of them, as before the API consolidation.
+  // Manifests record the sweeps of a caller's scheduler (suites, panels,
+  // studies); a sweep run on its own local scheduler stays out of them.
   const bool want_manifest =
       bindings.scheduler != nullptr && manifest.enabled();
   // The fingerprint keys cached shards, but it is also the sweep's
@@ -462,23 +451,11 @@ ScheduledSweep run_sweep(const SweepRequest& request,
     return ScheduledSweep(std::move(state));
   }
 
-  // Standalone: run the shard closures to completion on a transient pool.
-  // Same closures, same reduction -- bit-identical to the scheduled path.
-  const auto t0 = std::chrono::steady_clock::now();
+  // No scheduler bound: the sweep is a suite of one on a transient pool.
   exec::ThreadPool pool(exec::resolve_threads(config.threads));
-  exec::parallel_for(pool, shards.size(),
-                     [&shards](std::size_t i) { shards[i](); });
-  if (request.timing != nullptr) {
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - t0;
-    request.timing->threads = static_cast<unsigned>(pool.size());
-    request.timing->jobs = state->jobs();
-    request.timing->wall_seconds = elapsed.count();
-    request.timing->jobs_per_second =
-        elapsed.count() > 0.0
-            ? static_cast<double>(state->jobs()) / elapsed.count()
-            : 0.0;
-  }
+  exec::SweepScheduler scheduler(pool);
+  scheduler.add_sweep(bindings.name, std::move(shards));
+  scheduler.run();
   return ScheduledSweep(std::move(state));
 }
 

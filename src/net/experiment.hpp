@@ -51,7 +51,7 @@ struct SweepConfig {
   /// Worker threads for the sweep engine: each (K, replication) pair is an
   /// independent job. 0 = one worker per hardware thread. Results are
   /// bit-identical for every value, including 1 (serial). Ignored when the
-  /// sweep is enqueued on an external scheduler (the shared pool decides).
+  /// sweep is enqueued on a caller's scheduler (the shared pool decides).
   int threads = 0;
   /// Optional kernel capture (flight-recorder segment + slot series; see
   /// obs/capture.hpp), attached to exactly the job at K-grid index
@@ -107,16 +107,6 @@ struct SweepPoint {
   std::uint64_t messages = 0;
 };
 
-/// Wall-clock accounting for one sweep, for bench reporting.
-struct SweepTiming {
-  unsigned threads = 1;        // workers the engine actually used
-  std::size_t jobs = 0;        // (K, replication) simulations run
-  double wall_seconds = 0.0;
-  double jobs_per_second = 0.0;
-
-  void accumulate(const SweepTiming& other);
-};
-
 /// Evenly spaced K grid helper: n points from lo to hi inclusive.
 std::vector<double> linear_grid(double lo, double hi, std::size_t n);
 
@@ -159,23 +149,21 @@ struct SweepRequest {
   /// (once per (K, replication), K-major), so it needs no internal
   /// synchronization. When set, `variant` is ignored.
   std::function<core::ControlPolicy(double)> make_policy;
-  /// Optional wall-clock accounting, filled in standalone mode only (a
-  /// scheduler-bound sweep is timed by its scheduler).
-  SweepTiming* timing = nullptr;
 };
 
-/// Optional execution bindings for run_sweep. Default-constructed
-/// bindings run the sweep standalone to completion on a transient pool of
-/// config.threads workers. With `scheduler` set, the sweep is enqueued as
-/// a named shard set on that externally owned exec::SweepScheduler (one
-/// shard per (K, replication) job, cross-sweep work stealing;
+/// Optional execution bindings for run_sweep. Every sweep runs as one
+/// named shard set on an exec::SweepScheduler (one shard per
+/// (K, replication) job). With `scheduler` set, the sweep is enqueued on
+/// that externally owned scheduler (cross-sweep work stealing;
 /// config.threads is ignored) and points() becomes valid once the
-/// scheduler's run() has returned. `cache` binds a shard store in either
-/// mode: cached jobs are decoded straight into their result slots and not
-/// executed; executed jobs append their results to the store as they
-/// complete. Reduction order never changes, so cached/resumed/scheduled
-/// runs are all bit-identical to a cold standalone run -- for any thread
-/// count. A job targeted by the config's capture request is always
+/// scheduler's run() has returned. Default-constructed bindings make the
+/// sweep a suite of one: run_sweep registers it on a local scheduler over
+/// a transient pool of config.threads workers and runs it to completion.
+/// `cache` binds a shard store in either mode: cached jobs are decoded
+/// straight into their result slots and not executed; executed jobs
+/// append their results to the store as they complete. Reduction order
+/// never changes, so cached/resumed/scheduled runs are all bit-identical
+/// to a cold run of the sweep alone -- for any thread count. A job targeted by the config's capture request is always
 /// executed (a cache hit cannot replay per-slot events).
 struct SweepBindings {
   exec::SweepScheduler* scheduler = nullptr;
@@ -196,8 +184,8 @@ ScheduledSweep run_sweep(const SweepRequest& request,
 /// same shard slots.
 class ScheduledSweep {
  public:
-  /// Fixed-order reduction of the shard results. In standalone mode,
-  /// valid as soon as run_sweep returns; in scheduler mode, call only
+  /// Fixed-order reduction of the shard results. Without a scheduler
+  /// binding, valid as soon as run_sweep returns; with one, call only
   /// after the owning scheduler's run() has returned (shard slots are
   /// written concurrently until then).
   std::vector<SweepPoint> points() const;

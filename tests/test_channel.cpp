@@ -5,15 +5,6 @@
 namespace {
 
 using tcw::chan::ChannelUsage;
-using tcw::chan::outcome_for_transmitters;
-using tcw::chan::SlotOutcome;
-
-TEST(Outcome, MapsTransmitterCounts) {
-  EXPECT_EQ(outcome_for_transmitters(0), SlotOutcome::Idle);
-  EXPECT_EQ(outcome_for_transmitters(1), SlotOutcome::Success);
-  EXPECT_EQ(outcome_for_transmitters(2), SlotOutcome::Collision);
-  EXPECT_EQ(outcome_for_transmitters(100), SlotOutcome::Collision);
-}
 
 TEST(ChannelUsage, StartsZeroed) {
   ChannelUsage u;

@@ -59,6 +59,47 @@ TEST(Fig7Pipeline, QuickPanelRunsAndWritesCsv) {
   EXPECT_EQ(rows, 3);
 }
 
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Fig7Pipeline, StandalonePanelTracesEveryShard) {
+  // A panel is a suite of one on a scheduler, so --trace-out records one
+  // span per shard: three analytic series plus one simulation per
+  // (variant, K, replication). --progress works too, and its final line
+  // counts the single-channel kernels' successes.
+  tcw::bench::Fig7Options opts;
+  opts.quick = true;
+  opts.k_over_m = {1.0, 2.0, 4.0};
+  opts.threads = 2;
+  opts.csv = ::testing::TempDir() + "/tcw_fig7_traced.csv";
+  opts.obs.trace_out = ::testing::TempDir() + "/tcw_fig7_traced.json";
+  opts.obs.progress = true;
+  std::remove(opts.obs.trace_out.c_str());
+  ::testing::internal::CaptureStderr();
+  const int rc = tcw::bench::run_fig7_panel("fig7_traced", opts);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(rc, 0);
+  const std::size_t ok = err.rfind(" ok=");
+  ASSERT_NE(ok, std::string::npos) << err;
+  EXPECT_GT(std::stoull(err.substr(ok + 4)), 0u) << err;
+
+  const std::size_t reps = static_cast<std::size_t>(
+      tcw::bench::with_quick_applied(opts).replications);
+  const std::size_t shards = 3 + 3 * opts.k_over_m.size() * reps;
+  const std::string trace = slurp(opts.obs.trace_out);
+  EXPECT_EQ(count_of(trace, "\"cat\":\"shard\""), shards);
+  EXPECT_EQ(count_of(trace, "\"name\":\"fig7/analytic#"), 3u);
+  EXPECT_EQ(count_of(trace, "\"name\":\"fig7_traced/controlled#"),
+            opts.k_over_m.size() * reps);
+}
+
 TEST(Fig7Pipeline, SuiteCsvIsByteIdenticalToStandalonePanel) {
   // The acceptance contract of fig7_all: a panel's CSV out of the shared
   // scheduled suite equals the standalone panel binary's CSV byte for

@@ -49,10 +49,8 @@ void expect_bitwise_equal(const std::vector<net::SweepPoint>& a,
 
 std::vector<net::SweepPoint> sweep(const net::SweepConfig& cfg,
                                    net::ProtocolVariant v,
-                                   const std::vector<double>& grid,
-                                   net::SweepTiming* timing = nullptr) {
-  return net::run_sweep({.config = cfg, .constraints = grid, .variant = v,
-                         .timing = timing})
+                                   const std::vector<double>& grid) {
+  return net::run_sweep({.config = cfg, .constraints = grid, .variant = v})
       .points();
 }
 
@@ -90,20 +88,6 @@ TEST(SweepDeterminism, CustomSweepIdenticalAcrossThreadCounts) {
                       .make_policy = factory})
           .points();
   expect_bitwise_equal(serial, parallel);
-}
-
-TEST(SweepDeterminism, TimingIsReportedForAnyThreadCount) {
-  const std::vector<double> grid{50.0};
-  for (const int threads : {1, 2}) {
-    net::SweepTiming timing;
-    const auto pts = sweep(base_config(threads),
-                           net::ProtocolVariant::Controlled, grid, &timing);
-    ASSERT_EQ(pts.size(), 1u);
-    EXPECT_EQ(timing.threads, static_cast<unsigned>(threads));
-    EXPECT_EQ(timing.jobs, grid.size() * 3);  // 3 replications
-    EXPECT_GT(timing.wall_seconds, 0.0);
-    EXPECT_GT(timing.jobs_per_second, 0.0);
-  }
 }
 
 // Exact equality of two captured flight-event streams, field by field.
@@ -209,24 +193,6 @@ TEST(SweepCapture, CapturedShardWorksUnderExternalScheduler) {
       sweep(base_config(1), net::ProtocolVariant::Controlled, grid);
   expect_bitwise_equal(handle.points(), uncaptured);
   expect_bitwise_equal(solo_points, uncaptured);
-}
-
-TEST(SweepTiming, AccumulateSumsJobsAndWallClock) {
-  net::SweepTiming total;
-  net::SweepTiming a;
-  a.threads = 2;
-  a.jobs = 10;
-  a.wall_seconds = 1.0;
-  net::SweepTiming b;
-  b.threads = 4;
-  b.jobs = 30;
-  b.wall_seconds = 3.0;
-  total.accumulate(a);
-  total.accumulate(b);
-  EXPECT_EQ(total.threads, 4u);
-  EXPECT_EQ(total.jobs, 40u);
-  EXPECT_DOUBLE_EQ(total.wall_seconds, 4.0);
-  EXPECT_DOUBLE_EQ(total.jobs_per_second, 10.0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "exec/thread_pool.hpp"
 #include "net/experiment.hpp"
+#include "obs/registry.hpp"
 
 namespace {
 
@@ -285,6 +287,34 @@ TEST(SweepScheduler, ScheduledSweepsMatchStandaloneForEveryThreadCount) {
     EXPECT_EQ(report.shards, grid.size() * 2 * 2);
     expect_points_equal(controlled.points(), standalone_controlled);
     expect_points_equal(fcfs.points(), standalone_fcfs);
+  }
+}
+
+TEST(SweepScheduler, UnboundSweepRunsAsASuiteOfOne) {
+  // run_sweep without a scheduler binding registers its shards on a
+  // local scheduler and runs it: one scheduler run, one shard per
+  // (K, replication) job, for any worker count.
+  auto& registry = tcw::obs::Registry::global();
+  const auto counter = [&registry](const char* name) {
+    return registry.counter(name).value();
+  };
+  const std::vector<double> grid{25.0, 50.0, 100.0};
+  for (const int threads : {1, 2}) {
+    net::SweepConfig cfg = small_config();
+    cfg.threads = threads;
+    const std::uint64_t runs0 = counter("exec.scheduler.runs");
+    const std::uint64_t shards0 = counter("exec.scheduler.shards_home") +
+                                  counter("exec.scheduler.shards_stolen");
+    const auto handle =
+        net::run_sweep({.config = cfg, .constraints = grid,
+                        .variant = net::ProtocolVariant::Controlled});
+    EXPECT_EQ(counter("exec.scheduler.runs") - runs0, 1u) << threads;
+    EXPECT_EQ(counter("exec.scheduler.shards_home") +
+                  counter("exec.scheduler.shards_stolen") - shards0,
+              handle.jobs())
+        << threads;
+    EXPECT_EQ(handle.jobs(), grid.size() * 2);
+    EXPECT_EQ(handle.points().size(), grid.size());
   }
 }
 

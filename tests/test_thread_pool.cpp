@@ -10,11 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "exec/parallel_for.hpp"
-
 namespace {
 
-using tcw::exec::parallel_for;
 using tcw::exec::resolve_threads;
 using tcw::exec::ThreadPool;
 
@@ -129,61 +126,6 @@ TEST(ThreadPool, SingleWorkerStillDrainsQueue) {
   pool.wait();
   // One worker executes in submission order.
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelFor, EveryIndexVisitedExactlyOnce) {
-  ThreadPool pool(4);
-  const std::size_t n = 257;
-  std::vector<std::atomic<int>> visits(n);
-  parallel_for(pool, n, [&visits](std::size_t i) {
-    visits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelFor, SlotResultsMatchSerialOrdering) {
-  // The determinism contract: results written to per-index slots read
-  // back identically regardless of worker count.
-  const std::size_t n = 64;
-  std::vector<double> serial(n);
-  ThreadPool pool1(1);
-  parallel_for(pool1, n, [&serial](std::size_t i) {
-    serial[i] = static_cast<double>(i * i) + 0.5;
-  });
-  std::vector<double> parallel(n);
-  ThreadPool pool8(8);
-  parallel_for(pool8, n, [&parallel](std::size_t i) {
-    parallel[i] = static_cast<double>(i * i) + 0.5;
-  });
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(ParallelFor, ZeroIterationsIsANoOp) {
-  ThreadPool pool(3);
-  bool ran = false;
-  parallel_for(pool, 0, [&ran](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ParallelFor, PropagatesBodyException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      parallel_for(pool, 100,
-                   [](std::size_t i) {
-                     if (i == 17) throw std::runtime_error("bad index");
-                   }),
-      std::runtime_error);
-}
-
-TEST(ParallelFor, InlineOnSingleWorkerPropagatesException) {
-  ThreadPool pool(1);
-  EXPECT_THROW(parallel_for(pool, 3,
-                            [](std::size_t) {
-                              throw std::logic_error("serial path");
-                            }),
-               std::logic_error);
 }
 
 }  // namespace
